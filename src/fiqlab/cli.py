@@ -296,13 +296,13 @@ def _selfchecks():
         checks.append((f"gradient: {name}", err, tol))
 
     tracker = variance.init_tracker(1, total_steps=10 ** 9)
-    variance.update(tracker, {0: [0.8]})
+    variance.update(tracker, variance.group_ccs_by_class([0], [0.8]))
     checks.append(("ema hand value 0.92", abs(float(tracker.v[0]) - 0.92),
                    1e-9))
     frozen = variance.init_tracker(3, total_steps=5, alpha_start=1.0,
                                    alpha_end=1.0)
     before = frozen.v.copy()
-    variance.update(frozen, {1: [0.3]})
+    variance.update(frozen, variance.group_ccs_by_class([1], [0.3]))
     checks.append(("ema identity at alpha=1",
                    float(np.abs(frozen.v - before).max()), 0.0 + 1e-300))
     t = variance.init_tracker(6, total_steps=5)

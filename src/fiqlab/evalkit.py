@@ -11,7 +11,6 @@ Conventions (decided defaults, documented rather than tuned):
     the unnormalized trapezoidal integral over that grid.
 """
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -51,21 +50,33 @@ def gen_pairs(dataset, rng=None, max_per_class=None, nonmated_count=0,
     """Enumerate mated pairs (up to ``max_per_class`` per class) plus
     ``nonmated_count`` random cross-class pairs.  Deterministic for a
     fixed seed; classes with fewer than two samples simply contribute no
-    mated pairs.
+    mated pairs.  Asking for more non-mated pairs than there are distinct
+    cross-class pairs raises DomainError.
     """
     if rng is None:
         rng = rng_for(seed, T_PAIRS)
     labels = np.asarray(dataset.labels, dtype=np.int64)
+    n = labels.shape[0]
+    sizes = np.bincount(labels).tolist()
+    cross = n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in sizes)
+    if nonmated_count > cross:
+        raise DomainError(
+            f"{nonmated_count} non-mated pairs requested, but only {cross} "
+            f"distinct cross-class pairs exist")
     pairs = []
     for c in range(dataset.num_classes):
-        members = np.flatnonzero(labels == c)
-        combos = list(itertools.combinations(members.tolist(), 2))
-        if max_per_class is not None and len(combos) > max_per_class:
-            picks = rng.choice(len(combos), size=max_per_class, replace=False)
-            combos = [combos[int(i)] for i in sorted(picks)]
-        pairs.extend(VerificationPair(a, b, True) for a, b in combos)
+        members = np.flatnonzero(labels == c).tolist()
+        # row-major upper triangle: itertools.combinations order
+        first, second = np.triu_indices(len(members), k=1)
+        if max_per_class is not None and first.size > max_per_class:
+            picks = sorted(rng.choice(first.size, size=max_per_class,
+                                      replace=False))
+            first, second = first[picks], second[picks]
+        # pairs share the member index objects rather than each holding
+        # copies, as the pair list can run to 10^5 entries
+        pairs.extend(VerificationPair(members[a], members[b], True)
+                     for a, b in zip(first.tolist(), second.tolist()))
 
-    n = labels.shape[0]
     seen = set()
     while len(seen) < nonmated_count:
         a, b = (int(x) for x in rng.integers(0, n, 2))

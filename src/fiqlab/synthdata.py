@@ -19,6 +19,8 @@ Dataset container format (little-endian):
     per class: u8 flag (0 = normal, 1 = duplicate)
 """
 
+import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -145,6 +147,18 @@ class IdentityDataset:
 # ---------------------------------------------------------------------------
 # resampling primitives
 
+def _read_only_cache(build):
+    """Memoize a matrix builder per (n_in, n_out); the shared result is
+    made read-only so no caller can alter what the next one gets."""
+    @functools.lru_cache(maxsize=None)
+    def cached(n_in, n_out):
+        m = build(n_in, n_out)
+        m.flags.writeable = False
+        return m
+    return functools.wraps(build)(cached)
+
+
+@_read_only_cache
 def _area_downscale_matrix(n_in, n_out):
     """Row-stochastic matrix averaging n_in cells into n_out boxes."""
     ratio = n_in / n_out
@@ -157,6 +171,7 @@ def _area_downscale_matrix(n_in, n_out):
     return m / ratio
 
 
+@_read_only_cache
 def _bilinear_upscale_matrix(n_in, n_out):
     """Row-stochastic matrix resampling n_in cells to n_out, half-pixel
     centers, edge-clamped."""
@@ -372,6 +387,28 @@ def gen_dataset(cfg):
 # ---------------------------------------------------------------------------
 # container i/o
 
+# Bytes staged per read or write of the per-sample records, so neither
+# direction ever holds a second copy of the whole file; small enough
+# not to show in peak memory.
+_IO_CHUNK_BYTES = 1 << 16
+
+
+def _record_dtype(side):
+    """One per-sample record of the container."""
+    return np.dtype([("label", "<u4"), ("level", "<f4"),
+                     ("pixels", "<f4", (side, side))])
+
+
+def _record_chunks(total, side):
+    """Yield (start, records) over consecutive blocks of the ``total``
+    rows, each block a view of one reused record buffer."""
+    dtype = _record_dtype(side)
+    rows = max(1, _IO_CHUNK_BYTES // dtype.itemsize)
+    buffer = np.empty(min(rows, total), dtype=dtype)
+    for start in range(0, total, rows):
+        yield start, buffer[:min(rows, total - start)]
+
+
 def save_dataset(dataset, path):
     """Write the dataset container file."""
     dataset.validate()
@@ -381,11 +418,12 @@ def save_dataset(dataset, path):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", c_total, n, side))
-        for row in range(dataset.num_samples):
-            fh.write(struct.pack("<I", int(dataset.labels[row])))
-            fh.write(struct.pack("<f", float(dataset.degradation_level[row])))
-            fh.write(np.ascontiguousarray(
-                dataset.images[row], dtype="<f4").tobytes())
+        for start, records in _record_chunks(dataset.num_samples, side):
+            stop = start + len(records)
+            records["label"] = dataset.labels[start:stop]
+            records["level"] = dataset.degradation_level[start:stop]
+            records["pixels"] = dataset.images[start:stop]
+            fh.write(records)
         fh.write(dataset.class_flags.astype(np.uint8).tobytes())
 
 
@@ -398,7 +436,12 @@ def _read_exact(fh, count, what):
 
 
 def load_dataset(path):
-    """Read a dataset container file; raises FormatError on corruption."""
+    """Read a dataset container file; raises FormatError on corruption.
+
+    The file length is checked against the size its header declares
+    before anything is allocated, so a corrupt header cannot demand more
+    memory than the file could fill.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(MAGIC), "magic")
         if magic != MAGIC:
@@ -406,23 +449,30 @@ def load_dataset(path):
                               offset=0)
         c_total, n, side = struct.unpack("<III", _read_exact(fh, 12, "header"))
         total = c_total * n
+        # a record is a u32 label, an f32 level and side*side f32 pixels
+        declared = fh.tell() + total * (8 + 4 * side * side) + c_total
+        size = os.fstat(fh.fileno()).st_size
+        if size < declared:
+            raise FormatError(
+                f"truncated dataset file: the header declares {c_total} "
+                f"classes x {n} samples of side {side}, {declared} bytes, "
+                f"but the file has {size}", offset=size)
+        if size > declared:
+            raise FormatError("unexpected trailing bytes", offset=declared)
         images = np.empty((total, side, side), dtype=np.float32)
         labels = np.empty(total, dtype=np.uint32)
         levels = np.empty(total, dtype=np.float32)
-        pix_bytes = side * side * 4
-        for row in range(total):
-            labels[row] = struct.unpack(
-                "<I", _read_exact(fh, 4, f"label of sample {row}"))[0]
-            levels[row] = struct.unpack(
-                "<f", _read_exact(fh, 4, f"level of sample {row}"))[0]
-            images[row] = np.frombuffer(
-                _read_exact(fh, pix_bytes, f"pixels of sample {row}"),
-                dtype="<f4").reshape(side, side)
+        for start, records in _record_chunks(total, side):
+            stop = start + len(records)
+            if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                raise FormatError(
+                    f"truncated dataset file while reading samples "
+                    f"{start}..{stop - 1}", offset=fh.tell())
+            labels[start:stop] = records["label"]
+            levels[start:stop] = records["level"]
+            images[start:stop] = records["pixels"]
         flags = np.frombuffer(
             _read_exact(fh, c_total, "class flags"), dtype=np.uint8).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("unexpected trailing bytes", offset=fh.tell() - 1)
     ds = IdentityDataset(images=images, labels=labels,
                          degradation_level=levels, class_flags=flags)
     ds.validate()

@@ -221,16 +221,25 @@ def _finite_or_abort(state, l_arc, l_ig):
 
 def train_step(state, config, clean_batch, aug_batch, lr):
     """One optimization step; see the module docstring for the batch
-    semantics.  ``clean_batch``/``aug_batch`` are (images, labels)."""
+    semantics.  ``clean_batch``/``aug_batch`` are (images, labels).
+
+    Unsplit (``split_batch=False``), both are the one full batch: it is
+    embedded once, and the margin loss's certainty ratios serve as the
+    regression targets, which are the same bytes a second forward pass
+    would give.
+    """
     clean_imgs, clean_labels = clean_batch
     aug_imgs, aug_labels = aug_batch
 
     emb_clean, cache_clean = bb.forward(state.model, clean_imgs)
     arc = margin.arcface_loss(state.bank, emb_clean, clean_labels)
 
-    emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
-    cos_aug = margin.cosines(state.bank, emb_aug)
-    cr_aug = margin.cr_batch(cos_aug, aug_labels)
+    if config.split_batch:
+        emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
+        cos_aug = margin.cosines(state.bank, emb_aug)
+        cr_aug = margin.cr_batch(cos_aug, aug_labels)
+    else:
+        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
 
     if config.tracker_source == "clean":
         grouped = variance.group_ccs_by_class(clean_labels, arc.cr.ccs)

@@ -58,29 +58,56 @@ def alpha_at(tracker):
     return tracker.alpha_start + (tracker.alpha_end - tracker.alpha_start) * frac
 
 
+# numpy sums fewer than this many values one by one, and more in a
+# pairwise order (np.add.reduce, as np.mean does).
+_PAIRWISE_FROM = 8
+
+
 def group_ccs_by_class(labels, ccs):
-    """Batch (labels, ccs) -> {class: [ccs values]} for update()."""
-    grouped = {}
-    for label, value in zip(np.asarray(labels), np.asarray(ccs)):
-        grouped.setdefault(int(label), []).append(float(value))
-    return grouped
+    """Batch (labels, ccs) -> (classes, obs) for update(): the distinct
+    classes in ascending order and, per class, the mean of 1 - CCS over
+    its samples.
+
+    Each class's sum is bit-identical to np.mean over its values in
+    batch order: np.bincount adds them one by one, as np.mean does for
+    fewer than _PAIRWISE_FROM values, and the rarer larger classes are
+    summed again with np.mean's own pairwise reduction.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    dist = 1.0 - np.asarray(ccs, dtype=np.float64)
+    if labels.ndim != 1 or labels.shape != dist.shape:
+        raise StructuralError("labels and ccs must be equal-length 1-D arrays")
+    if labels.size and labels.min() < 0:
+        raise StructuralError(f"negative class index {labels.min()}")
+    counts = np.bincount(labels)
+    sums = np.bincount(labels, weights=dist)
+    for c in np.flatnonzero(counts >= _PAIRWISE_FROM).tolist():
+        sums[c] = dist[labels == c].sum()
+    classes = np.flatnonzero(counts)
+    return classes, sums[classes] / counts[classes]
 
 
-def update(tracker, class_ccs):
-    """One EMA step from a batch.
+def update(tracker, grouped):
+    """One EMA step from a batch grouped by group_ccs_by_class.
 
     Multiple same-class samples are averaged into a single observation
     before the EMA step, so the fold is independent of within-batch
-    ordering.  Classes absent from the batch are untouched.  Mutates and
+    ordering.  Classes absent from the batch are untouched.  The
+    weighted observation is rounded to the tracker dtype before the
+    add, as a scalar update of a float32 entry rounds it.  Mutates and
     returns the tracker; the step counter advances once per call.
     """
+    classes, obs = grouped
+    classes = np.asarray(classes, dtype=np.int64)
     alpha = alpha_at(tracker)
-    for label, values in class_ccs.items():
-        if not 0 <= label < tracker.num_classes:
-            raise StructuralError(
-                f"class index {label} outside [0, {tracker.num_classes})")
-        obs = float(np.mean([1.0 - v for v in values]))
-        tracker.v[label] = alpha * tracker.v[label] + (1.0 - alpha) * obs
+    outside = (classes < 0) | (classes >= tracker.num_classes)
+    if outside.any():
+        raise StructuralError(
+            f"class index {int(classes[outside][0])} outside "
+            f"[0, {tracker.num_classes})")
+    v = tracker.v
+    v[classes] = alpha * v[classes] + ((1.0 - alpha) * np.asarray(
+        obs, dtype=np.float64)).astype(v.dtype)
     tracker.step += 1
     return tracker
 

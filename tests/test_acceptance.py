@@ -145,15 +145,16 @@ def test_criterion_2_formula_unit_suite():
     frozen = variance.init_tracker(3, total_steps=4, alpha_start=1.0,
                                    alpha_end=1.0)
     before = frozen.v.copy()
-    variance.update(frozen, {0: [0.3], 2: [-0.5, 0.9]})
+    variance.update(frozen, variance.group_ccs_by_class([0, 2, 2],
+                                                        [0.3, -0.5, 0.9]))
     checks.append(np.array_equal(frozen.v, before))
     t = variance.init_tracker(1, total_steps=10 ** 9)
-    variance.update(t, {0: [0.8]})
+    variance.update(t, variance.group_ccs_by_class([0], [0.8]))
     checks.append(abs(float(t.v[0]) - 0.92) < 1e-9)
     t2 = variance.init_tracker(1, total_steps=100)
     t2.v[0] = 0.4
     t2.step = 50
-    variance.update(t2, {0: [0.1, -0.3]})
+    variance.update(t2, variance.group_ccs_by_class([0, 0], [0.1, -0.3]))
     obs = np.mean([0.9, 1.3])
     checks.append(min(0.4, obs) - 1e-12 <= t2.v[0] <= max(0.4, obs) + 1e-12)
 

@@ -196,6 +196,19 @@ class TestErc:
                     "--fmr", "1.5", "--out", workspace / "e"])
         assert code == 1
 
+    def test_more_nonmated_than_exist_usage_error(self, trained, capsys):
+        # 6 classes x 6 samples have 540 cross-class pairs; the default
+        # --nonmated asks for 5000
+        workspace, ds_path, out_dir = trained
+        scores = workspace / "s" / "scores.csv"
+        assert run(["score", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--out", scores]) == 0
+        code = run(["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--scores", scores,
+                    "--fmr", "0.05", "--out", workspace / "e"])
+        assert code == 1
+        assert "540 distinct cross-class pairs" in capsys.readouterr().err
+
 
 class TestReport:
     def test_weight_csv(self, trained):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,28 @@ class TestGenPairs:
         a = evalkit.gen_pairs(ds, nonmated_count=20, seed=9)
         b = evalkit.gen_pairs(ds, nonmated_count=20, seed=9)
         assert a == b
+
+    def test_more_nonmated_than_exist_rejected(self):
+        # 2 classes x 2 samples: exactly 4 distinct cross-class pairs
+        ds = tiny_dataset(num_classes=2, samples=2)
+        with pytest.raises(DomainError):
+            evalkit.gen_pairs(ds, nonmated_count=5)
+        pairs = evalkit.gen_pairs(ds, nonmated_count=4, seed=3)
+        impostors = {(p.index_a, p.index_b) for p in pairs if not p.genuine}
+        assert impostors == {(0, 2), (0, 3), (1, 2), (1, 3)}
+
+    def test_mated_pairs_in_combination_order(self):
+        ds = tiny_dataset(num_classes=3, samples=5)
+        got = [(p.index_a, p.index_b) for p in
+               evalkit.gen_pairs(ds, max_per_class=4, nonmated_count=0,
+                                 seed=7)]
+        rng = rng_for(7, evalkit.T_PAIRS)
+        expected = []
+        for c in range(3):
+            combos = list(itertools.combinations(range(5 * c, 5 * c + 5), 2))
+            picks = rng.choice(len(combos), size=4, replace=False)
+            expected += [combos[int(i)] for i in sorted(picks)]
+        assert got == expected
 
 
 class TestFmrThreshold:

@@ -1,0 +1,35 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fiqlab.rngstreams import rng_for
+
+# negative values and values of 2**32 or more included: both are reduced
+# modulo 2**32
+WIDE_INT = st.integers(-2 ** 40, 2 ** 40)
+
+
+def list_seeded(seed, *path):
+    """The stream as defined: default_rng over a SeedSequence of the
+    list of values modulo 2**32."""
+    entropy = [int(seed) & 0xFFFFFFFF] + [int(p) & 0xFFFFFFFF for p in path]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+class TestRngFor:
+    @given(WIDE_INT, st.lists(WIDE_INT | st.just(0), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_same_stream_as_list_seeded_default_rng(self, seed, path):
+        got = rng_for(seed, *path)
+        want = list_seeded(seed, *path)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.bytes(64) == want.bytes(64)
+
+    def test_numpy_integers_accepted(self):
+        got = rng_for(np.int64(7), np.uint32(3), np.int64(-1))
+        want = list_seeded(7, 3, -1)
+        assert got.integers(0, 2 ** 62, 8).tolist() == \
+            want.integers(0, 2 ** 62, 8).tolist()
+
+    def test_distinct_paths_distinct_streams(self):
+        assert rng_for(1, 2, 3).bytes(16) != rng_for(1, 3, 2).bytes(16)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,17 @@ class TestRescaleBlur:
             got = synthdata.rescale_blur(img, factor)
             np.testing.assert_allclose(got, reference(img, factor), atol=1e-12)
 
+    def test_cached_matrices_equal_fresh_and_read_only(self):
+        for build in (synthdata._area_downscale_matrix,
+                      synthdata._bilinear_upscale_matrix):
+            for n_in, n_out in ((24, 17), (24, 6), (9, 24), (12, 12)):
+                cached = build(n_in, n_out)
+                assert build(n_in, n_out) is cached
+                assert np.array_equal(cached, build.__wrapped__(n_in, n_out))
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 1.0
+
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_bad_factor(self, factor):
         with pytest.raises(DomainError):
@@ -296,4 +309,40 @@ class TestContainer:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(FormatError):
+            synthdata.load_dataset(path)
+
+    def test_bytes_match_per_row_layout(self, tmp_path, monkeypatch):
+        # three records a chunk: several full chunks and a partial one
+        monkeypatch.setattr(synthdata, "_IO_CHUNK_BYTES", 3 * (8 + 4 * 16 * 16))
+        ds = synthdata.gen_dataset(small_cfg(degrade_fraction=0.4))
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        expected = synthdata.MAGIC + struct.pack("<III", 6, 4, 16)
+        for row in range(ds.num_samples):
+            expected += struct.pack("<If", int(ds.labels[row]),
+                                    float(ds.degradation_level[row]))
+            expected += ds.images[row].astype("<f4").tobytes()
+        expected += ds.class_flags.astype(np.uint8).tobytes()
+        assert path.read_bytes() == expected
+        back = synthdata.load_dataset(path)
+        assert back.images.tobytes() == ds.images.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert (back.degradation_level.tobytes()
+                == ds.degradation_level.tobytes())
+
+    def test_header_declaring_more_than_the_file_rejected(self, tmp_path):
+        # 2**20 classes x 2**10 samples of side 2**10: about 4 PiB declared
+        path = tmp_path / "huge.bin"
+        path.write_bytes(synthdata.MAGIC + struct.pack("<III", 2 ** 20,
+                                                      2 ** 10, 2 ** 10)
+                         + b"\x00" * 64)
+        with pytest.raises(FormatError, match="declares"):
+            synthdata.load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        ds = synthdata.gen_dataset(small_cfg())
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
             synthdata.load_dataset(path)

@@ -224,6 +224,44 @@ class TestTrainStep:
             trainer.train_step(state, cfg, clean, clean, cfg.lr)
 
 
+class TestUnsplitStep:
+    @pytest.mark.parametrize("variant", ["cr", "cr-aug"])
+    @pytest.mark.parametrize("extra", [
+        {}, {"propagate_lig_to_backbone": True},
+        {"tracker_source": "both"}])
+    def test_one_forward_and_same_bytes_as_two(self, dataset, tmp_path,
+                                               monkeypatch, variant, extra):
+        cfg = trainer.apply_variant(tiny_config(**extra), variant)
+        # Two-forward oracle: a split step given the full batch as both
+        # halves embeds it twice and recomputes the certainty ratios.
+        oracle_cfg = dataclasses.replace(cfg, split_batch=True)
+        fast = trainer.init_train_state(cfg, dataset)
+        oracle = trainer.init_train_state(cfg, dataset)
+        calls = []
+        forward = bb.forward
+
+        def counting_forward(model, batch):
+            calls.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(bb, "forward", counting_forward)
+        perm = rng_for(cfg.seed, T_PERM, 0).permutation(dataset.num_samples)
+        for t in range(3):
+            idx = perm[t * 8:(t + 1) * 8]
+            full = trainer._build_half(dataset, idx, cfg, 0, True)
+            calls.clear()
+            trainer.train_step(fast, cfg, full, full, cfg.lr)
+            assert calls == [8]
+            trainer.train_step(oracle, oracle_cfg, full, full, cfg.lr)
+            assert calls == [8, 8, 8]
+            assert np.array_equal(fast.last_step.cr_targets,
+                                  oracle.last_step.cr_targets)
+        trainer.checkpoint_save(fast, tmp_path / "fast.bin")
+        trainer.checkpoint_save(oracle, tmp_path / "oracle.bin")
+        assert ((tmp_path / "fast.bin").read_bytes()
+                == (tmp_path / "oracle.bin").read_bytes())
+
+
 class TestRunTraining:
     def test_zero_epochs_returns_initial_state(self, dataset):
         cfg = tiny_config(epochs=0)

@@ -8,6 +8,13 @@ from fiqlab.errors import DomainError, StructuralError
 from fiqlab.rngstreams import rng_for
 
 
+def grouped(batch):
+    """{class: [ccs values]} -> update()'s input for that batch."""
+    labels = [c for c, values in batch.items() for _ in values]
+    ccs = [v for values in batch.values() for v in values]
+    return variance.group_ccs_by_class(labels, ccs)
+
+
 class TestInit:
     def test_all_ones(self):
         tracker = variance.init_tracker(7, total_steps=10)
@@ -39,35 +46,35 @@ class TestUpdate:
         tracker = variance.init_tracker(4, total_steps=5,
                                         alpha_start=1.0, alpha_end=1.0)
         before = tracker.v.copy()
-        variance.update(tracker, {0: [0.1], 2: [-0.9, 0.5]})
+        variance.update(tracker, grouped({0: [0.1], 2: [-0.9, 0.5]}))
         assert np.array_equal(tracker.v, before)
         assert tracker.step == 1
 
     def test_hand_evaluated_single_sample(self):
         tracker = variance.init_tracker(1, total_steps=10**9)
-        variance.update(tracker, {0: [0.8]})
+        variance.update(tracker, grouped({0: [0.8]}))
         assert tracker.v[0] == pytest.approx(0.92, abs=1e-9)
 
     def test_absent_class_bit_identical(self):
         tracker = variance.init_tracker(5, total_steps=10)
-        variance.update(tracker, {1: [0.3]})
+        variance.update(tracker, grouped({1: [0.3]}))
         raw = tracker.v.copy()
-        variance.update(tracker, {2: [0.5]})
+        variance.update(tracker, grouped({2: [0.5]}))
         assert tracker.v[1].tobytes() == raw[1].tobytes()
         assert tracker.v[0].tobytes() == raw[0].tobytes()
 
     def test_unknown_class_rejected(self):
         tracker = variance.init_tracker(3, total_steps=10)
         with pytest.raises(StructuralError):
-            variance.update(tracker, {3: [0.1]})
+            variance.update(tracker, grouped({3: [0.1]}))
         with pytest.raises(StructuralError):
-            variance.update(tracker, {-1: [0.1]})
+            variance.update(tracker, grouped({-1: [0.1]}))
 
     def test_same_class_samples_averaged_once(self):
         t1 = variance.init_tracker(1, total_steps=10**9)
-        variance.update(t1, {0: [0.2, 0.6]})
+        variance.update(t1, grouped({0: [0.2, 0.6]}))
         t2 = variance.init_tracker(1, total_steps=10**9)
-        variance.update(t2, {0: [0.6, 0.2]})
+        variance.update(t2, grouped({0: [0.6, 0.2]}))
         assert t1.v[0] == t2.v[0]
         expected = 0.9 * 1.0 + 0.1 * np.mean([0.8, 0.4])
         assert t1.v[0] == pytest.approx(expected, abs=1e-12)
@@ -80,7 +87,7 @@ class TestUpdate:
         tracker.v[0] = v0
         tracker.step = 37
         obs = float(np.mean([1.0 - c for c in ccs_values]))
-        variance.update(tracker, {0: ccs_values})
+        variance.update(tracker, grouped({0: ccs_values}))
         lo, hi = min(v0, obs), max(v0, obs)
         assert lo - 1e-12 <= tracker.v[0] <= hi + 1e-12
 
@@ -91,18 +98,94 @@ class TestUpdate:
         t1 = variance.init_tracker(6, total_steps=40)
         t2 = variance.init_tracker(6, total_steps=40)
         for batch in stream:
-            variance.update(t1, batch)
+            variance.update(t1, grouped(batch))
         for batch in stream:
-            variance.update(t2, batch)
+            variance.update(t2, grouped(batch))
         assert t1.v.tobytes() == t2.v.tobytes()
 
     def test_v_stays_in_range(self):
         tracker = variance.init_tracker(3, total_steps=50)
         rng = rng_for(0, 61)
         for _ in range(50):
-            variance.update(tracker, {int(rng.integers(0, 3)):
-                                      rng.uniform(-1, 1, 2).tolist()})
+            variance.update(tracker, grouped({int(rng.integers(0, 3)):
+                                              rng.uniform(-1, 1, 2).tolist()}))
         assert np.all(tracker.v >= 0.0) and np.all(tracker.v <= 2.0)
+
+
+def dict_loop_obs(labels, ccs):
+    """{class: mean of 1 - CCS}, grouped by the dict of lists that
+    group_ccs_by_class replaced, kept as the oracle for its bytes."""
+    by_class = {}
+    for label, value in zip(labels, ccs):
+        by_class.setdefault(int(label), []).append(float(value))
+    return {label: float(np.mean([1.0 - v for v in values]))
+            for label, values in by_class.items()}
+
+
+def dict_loop_update(tracker, labels, ccs):
+    """The per-class Python loop that update() replaced."""
+    alpha = variance.alpha_at(tracker)
+    for label, obs in dict_loop_obs(labels, ccs).items():
+        tracker.v[label] = alpha * tracker.v[label] + (1.0 - alpha) * obs
+    tracker.step += 1
+
+
+@st.composite
+def crowded_batches(draw):
+    """(num_classes, labels, ccs): a shuffled batch in which at least one
+    class has 8 or more samples, the size where pairwise summation
+    starts to differ from a running sum.  CCS values come from a drawn
+    stream, as float32 (what training feeds, whose sums in float64 are
+    exact in any order) or float64 (whose sums round, so the order
+    shows)."""
+    num_classes = draw(st.integers(2, 40))
+    label = st.integers(0, num_classes - 1)
+    labels = draw(st.lists(label, max_size=120))
+    labels += [draw(label)] * draw(st.integers(8, 160))
+    labels = np.array(draw(st.permutations(labels)), dtype=np.int64)
+    stream = rng_for(draw(st.integers(0, 2 ** 32 - 1)), 64)
+    ccs = stream.uniform(-1.0, 1.0, labels.size).astype(
+        draw(st.sampled_from([np.float32, np.float64])))
+    return num_classes, labels, ccs
+
+
+class TestGroupedUpdate:
+    @given(crowded_batches(), st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_dict_loop(self, batch, dtype, seed):
+        num_classes, labels, ccs = batch
+        rng = rng_for(seed, 63)
+        fast = variance.init_tracker(num_classes, total_steps=50, dtype=dtype)
+        fast.v[:] = rng.uniform(0.0, 2.0, num_classes)
+        fast.step = int(rng.integers(0, 60))
+        oracle = variance.init_tracker(num_classes, total_steps=50,
+                                       dtype=dtype)
+        oracle.v[:] = fast.v
+        oracle.step = fast.step
+        classes, obs = variance.group_ccs_by_class(labels, ccs)
+        expected = dict_loop_obs(labels, ccs)
+        assert classes.tolist() == sorted(expected)
+        assert obs.tolist() == [expected[c] for c in sorted(expected)]
+        variance.update(fast, (classes, obs))
+        dict_loop_update(oracle, labels, ccs)
+        assert fast.v.tobytes() == oracle.v.tobytes()
+        assert fast.step == oracle.step
+
+    def test_classes_ascending_with_batch_order_means(self):
+        classes, obs = variance.group_ccs_by_class([3, 1, 3], [0.5, 0.2, 0.1])
+        assert classes.tolist() == [1, 3]
+        assert obs.tolist() == [0.8, np.mean([0.5, 0.9])]
+
+    def test_empty_batch_only_advances_step(self):
+        tracker = variance.init_tracker(3, total_steps=10)
+        variance.update(tracker, variance.group_ccs_by_class([], []))
+        assert np.all(tracker.v == 1.0)
+        assert tracker.step == 1
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(StructuralError):
+            variance.group_ccs_by_class([0, 1], [0.5])
 
 
 class TestWeights:
