@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data/format error,
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import (
     NumericError,
     StructuralError,
 )
-from .rngstreams import rng_for
+from .rngstreams import T_FLIP, first_random, rng_for
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,6 +146,7 @@ def cmd_score(args, argv):
 
 def _read_scores_csv(path, expected):
     scores = np.full(expected, np.nan)
+    seen = bytearray(expected)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "sample_id,score":
@@ -155,9 +157,19 @@ def _read_scores_csv(path, expected):
                 continue
             try:
                 sid, value = line.split(",")
-                scores[int(sid)] = float(value)
-            except (ValueError, IndexError) as exc:
+                sid, value = int(sid), float(value)
+            except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad row {line!r}") from exc
+            if not 0 <= sid < expected:
+                raise FormatError(f"{path}:{lineno}: sample id {sid} outside "
+                                  f"[0, {expected})")
+            if not math.isfinite(value):
+                raise FormatError(f"{path}:{lineno}: non-finite score "
+                                  f"{value} for sample {sid}")
+            if seen[sid]:
+                raise FormatError(f"{path}:{lineno}: repeated sample id {sid}")
+            seen[sid] = 1
+            scores[sid] = value
     if np.any(np.isnan(scores)):
         raise FormatError(f"{path}: missing scores for some samples")
     return scores
@@ -335,6 +347,17 @@ def _selfchecks():
                     - np.sum(rows.mean(axis=0) ** 2))
         worst = max(worst, abs(alt - var[c]))
     checks.append(("oracle variance cross-check", worst, 1e-10))
+
+    # the vectorised flip coins restate numpy's SeedSequence and PCG64;
+    # an installed numpy whose streams diverged would show up here
+    worst = 0.0
+    idx = np.arange(300)
+    for seed in (0, 2 ** 32 - 1):
+        loop = np.array([rng_for(seed, T_FLIP, 2, int(i)).random()
+                         for i in idx])
+        worst = max(worst, float(np.abs(
+            first_random(seed, T_FLIP, 2, idx) - loop).max()))
+    checks.append(("flip streams match rng_for", worst, 0.0))
 
     thr = evalkit.fmr_threshold([0.1, 0.2, 0.3, 0.4], 0.25)
     checks.append(("fmr threshold hand example", abs(thr - 0.35), 1e-12))

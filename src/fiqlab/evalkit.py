@@ -275,9 +275,13 @@ def oracle_variance(dataset, model, batch_size=256):
     """
     emb = embed_dataset(model, dataset.images, batch_size=batch_size)
     labels = np.asarray(dataset.labels, dtype=np.int64)
+    # a stable sort keeps each class's rows in dataset order
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order],
+                             np.arange(dataset.num_classes + 1))
     out = np.zeros(dataset.num_classes, dtype=np.float64)
     for c in range(dataset.num_classes):
-        rows = emb[labels == c].astype(np.float64)
+        rows = emb[order[bounds[c]:bounds[c + 1]]].astype(np.float64)
         mu = rows.mean(axis=0)
         out[c] = float(np.mean(np.sum((rows - mu) ** 2, axis=1)))
     return out

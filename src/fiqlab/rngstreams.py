@@ -38,3 +38,111 @@ def rng_for(seed, *path):
     entropy = np.array([int(seed) & 0xFFFFFFFF]
                        + [int(p) & 0xFFFFFFFF for p in path], dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+# ---------------------------------------------------------------------------
+# First double of many streams at once.
+#
+# numpy freezes SeedSequence and PCG64 (NEP 19), so the first ``random()``
+# of ``rng_for(seed, tag, counter, i)`` can be restated in array arithmetic
+# for a whole vector of ``i``.  SeedSequence mixes 32-bit words; the PCG64
+# state is 128 bits, held here as four 32-bit limbs (low limb first) in
+# uint64 arrays so a limb product fits without overflow.
+
+_M32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hash_consts(init, mult, count):
+    """The data-independent multiplier sequence of SeedSequence's hash."""
+    out, h = [], init
+    for _ in range(count):
+        nxt = (h * mult) & _M32
+        out.append((h, nxt))
+        h = nxt
+    return out
+
+
+def _hashmix(value, consts):
+    xor, mul = consts
+    value = (value ^ np.uint32(xor)) * np.uint32(mul)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_state(words):
+    """SeedSequence(words).generate_state(8, uint32) for 4 uint32 word
+    arrays: the pool mix, then the output hash."""
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, 16))
+    pool = [_hashmix(w, next(consts)) for w in words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    return [_hashmix(pool[k % _POOL_SIZE], c)
+            for k, c in enumerate(_hash_consts(_INIT_B, _MULT_B, 8))]
+
+
+def _carry(cols):
+    """Normalise four columns of up to 64 bits into 32-bit limbs, mod 2**128."""
+    out, carry = [], np.uint64(0)
+    for c in cols:
+        s = c + carry
+        out.append(s & np.uint64(_M32))
+        carry = s >> np.uint64(32)
+    return out
+
+
+_PCG_MULT = [np.uint64(((2549297995355413924 << 64) + 4865540595714422341)
+                       >> (32 * k) & _M32) for k in range(4)]
+
+
+def _pcg_step(state, inc):
+    """state * multiplier + inc, mod 2**128."""
+    cols = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            p = state[i] * _PCG_MULT[j]
+            cols[i + j] = cols[i + j] + (p & np.uint64(_M32))
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (p >> np.uint64(32))
+    return _carry(cols)
+
+
+def first_random(seed, tag, counter, indices):
+    """``rng_for(seed, tag, counter, i).random()`` for every ``i`` in
+    ``indices``, bit for bit, computed in one vectorised pass."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    words = [np.full(idx.shape, int(v) & _M32, dtype=np.uint32)
+             for v in (seed, tag, counter)]
+    words.append((idx & _M32).astype(np.uint32))
+    s = [w.astype(np.uint64) for w in _seed_state(words)]
+    # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
+    # word 0 as the high half of the initial state, word 2 of the sequence.
+    init = [s[2], s[3], s[0], s[1]]
+    seq = [s[6], s[7], s[4], s[5]]
+    inc = [((seq[0] << np.uint64(1)) | np.uint64(1)) & np.uint64(_M32)]
+    for k in range(1, 4):
+        inc.append(((seq[k] << np.uint64(1)) | (seq[k - 1] >> np.uint64(31)))
+                   & np.uint64(_M32))
+    zero = np.zeros(idx.shape, dtype=np.uint64)
+    state = _pcg_step([zero] * 4, inc)
+    state = _carry([a + b for a, b in zip(state, init)])
+    state = _pcg_step(_pcg_step(state, inc), inc)
+    # XSL-RR output of the new state, then the top 53 bits as a double
+    hi = (state[3] << np.uint64(32)) | state[2]
+    lo = (state[1] << np.uint64(32)) | state[0]
+    x = hi ^ lo
+    rot = state[3] >> np.uint64(26)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

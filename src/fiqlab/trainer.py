@@ -25,7 +25,12 @@ import numpy as np
 from . import backbone as bb
 from . import margin, quality, variance
 from .configio import build_config
-from .errors import ConfigError, FormatError, NumericError
+from .errors import (
+    ConfigError,
+    FormatError,
+    NumericError,
+    UndefinedCorrelationError,
+)
 from .rngstreams import (
     T_AUG,
     T_FLIP,
@@ -33,9 +38,10 @@ from .rngstreams import (
     T_INIT_BANK,
     T_PERM,
     T_TRACKED,
+    first_random,
     rng_for,
 )
-from .synthdata import augment, hflip
+from .synthdata import augment
 from . import evalkit
 
 CKPT_MAGIC = b"IGFQCKPT"
@@ -296,16 +302,24 @@ def train_step(state, config, clean_batch, aug_batch, lr):
 # ---------------------------------------------------------------------------
 # epoch loop
 
-def _build_half(dataset, indices, config, epoch, degraded):
-    imgs = np.empty((len(indices), dataset.side, dataset.side),
-                    dtype=dataset.images.dtype)
-    for row, i in enumerate(indices):
-        i = int(i)
-        img = hflip(dataset.images[i], rng_for(config.seed, T_FLIP, epoch, i))
-        if degraded and config.augment_p > 0.0:
-            img = augment(img, rng_for(config.seed, T_AUG, epoch, i),
-                          config.augment_p)
-        imgs[row] = img
+def epoch_flips(seed, epoch, n):
+    """Flip coin of every sample in an epoch: sample ``i`` is mirrored
+    when the first draw of ``rng_for(seed, T_FLIP, epoch, i)`` is below
+    0.5, as ``synthdata.hflip`` decides for one image."""
+    return first_random(seed, T_FLIP, epoch, np.arange(n)) < 0.5
+
+
+def _build_half(dataset, indices, config, epoch, degraded, flips):
+    """Images and labels of ``indices``, mirrored where the epoch's
+    ``flips`` mask says so, then augmented if ``degraded``."""
+    imgs = dataset.images[indices]
+    f = flips[indices]
+    imgs[f] = imgs[f][:, :, ::-1]
+    if degraded and config.augment_p > 0.0:
+        for row, i in enumerate(indices):
+            imgs[row] = augment(imgs[row],
+                                rng_for(config.seed, T_AUG, epoch, int(i)),
+                                config.augment_p)
     return imgs, np.asarray(dataset.labels, dtype=np.int64)[indices]
 
 
@@ -351,16 +365,19 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
     for epoch in range(state.epoch, config.epochs):
         lr = config.lr_at(epoch)
         perm = rng_for(config.seed, T_PERM, epoch).permutation(n)
+        flips = epoch_flips(config.seed, epoch, n)
         arc_sum = 0.0
         ig_sum = 0.0
         n_steps = 0
         for t in range(state.step_in_epoch, steps_per_epoch):
             idx = perm[t * b:(t + 1) * b]
             if config.split_batch:
-                clean = _build_half(dataset, idx[:half], config, epoch, False)
-                aug = _build_half(dataset, idx[half:], config, epoch, True)
+                clean = _build_half(dataset, idx[:half], config, epoch, False,
+                                    flips)
+                aug = _build_half(dataset, idx[half:], config, epoch, True,
+                                  flips)
             else:
-                full = _build_half(dataset, idx, config, epoch, True)
+                full = _build_half(dataset, idx, config, epoch, True, flips)
                 clean = aug = full
             train_step(state, config, clean, aug, lr)
             arc_sum += state.last_step.l_arc
@@ -376,7 +393,8 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
         try:
             rho = evalkit.pearson(evalkit.oracle_variance(dataset, state.model),
                                   state.tracker.v)
-        except Exception:
+        except UndefinedCorrelationError:
+            # a constant tracker (or oracle) has no correlation
             rho = float("nan")
         w = effective_weights(state, config)
         state.epoch_logs.append(EpochLog(

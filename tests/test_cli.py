@@ -209,6 +209,28 @@ class TestErc:
         assert code == 1
         assert "540 distinct cross-class pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("-1,0.75", "sample id -1 outside [0, 36)"),
+        ("36,0.75", "sample id 36 outside [0, 36)"),
+        ("0,0.75", "repeated sample id 0"),
+        ("35,nan", "non-finite score nan"),
+        ("35,inf", "non-finite score inf"),
+    ])
+    def test_bad_scores_rows_are_format_errors(self, trained, capsys,
+                                               bad_row, message):
+        # rows 0..34 are valid; the bad row is line 37, where sample 35's
+        # row would be
+        workspace, ds_path, out_dir = trained
+        scores = workspace / "bad.csv"
+        rows = [f"{i},0.5" for i in range(35)] + [bad_row]
+        scores.write_text("sample_id,score\n" + "\n".join(rows) + "\n")
+        code = run(["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--scores", scores,
+                    "--fmr", "0.05", "--nonmated", "120",
+                    "--out", workspace / "e"])
+        assert code == 2
+        assert f"bad.csv:37: {message}" in capsys.readouterr().err
+
 
 class TestReport:
     def test_weight_csv(self, trained):
@@ -239,6 +261,13 @@ class TestSelfcheck:
         monkeypatch.setattr(margin, "arcface_loss", flipped)
         assert cli.main(["selfcheck"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_detects_diverged_flip_streams(self, monkeypatch, capsys):
+        real = cli.first_random
+        monkeypatch.setattr(cli, "first_random",
+                            lambda *a: np.nextafter(real(*a), 1.0))
+        assert cli.main(["selfcheck"]) == 3
+        assert "FAIL  flip streams match rng_for" in capsys.readouterr().out
 
     def test_grad_check_command(self, capsys):
         assert cli.main(["grad-check"]) == 0

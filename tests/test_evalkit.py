@@ -347,6 +347,26 @@ class TestOracleVariance:
         var2 = evalkit.oracle_variance(ds2, model)
         np.testing.assert_allclose(var, var2, atol=1e-12)
 
+    def test_same_bytes_as_mask_loop_on_shuffled_labels(self):
+        ds = tiny_dataset(num_classes=6, samples=30, seed=9)
+        perm = rng_for(1, 87).permutation(ds.num_samples)
+        shuffled = synthdata.IdentityDataset(
+            images=ds.images[perm], labels=ds.labels[perm],
+            degradation_level=ds.degradation_level[perm],
+            class_flags=ds.class_flags)
+        model = bb.init_backbone(64, hidden_dim=16, embed_dim=8,
+                                 rng=rng_for(1, 88))
+        got = evalkit.oracle_variance(shuffled, model)
+        # one boolean mask per class, rows in dataset order
+        emb = evalkit.embed_dataset(model, shuffled.images)
+        labels = np.asarray(shuffled.labels, dtype=np.int64)
+        want = np.zeros(6)
+        for c in range(6):
+            rows = emb[labels == c].astype(np.float64)
+            mu = rows.mean(axis=0)
+            want[c] = float(np.mean(np.sum((rows - mu) ** 2, axis=1)))
+        assert np.array_equal(got, want)
+
 
 class TestOracleVsRandomQuality:
     def test_true_quality_rejects_better_than_random(self):

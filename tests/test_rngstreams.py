@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiqlab.rngstreams import rng_for
+from fiqlab.rngstreams import first_random, rng_for
 
 # negative values and values of 2**32 or more included: both are reduced
 # modulo 2**32
@@ -33,3 +33,20 @@ class TestRngFor:
 
     def test_distinct_paths_distinct_streams(self):
         assert rng_for(1, 2, 3).bytes(16) != rng_for(1, 3, 2).bytes(16)
+
+
+class TestFirstRandom:
+    @given(WIDE_INT, WIDE_INT, WIDE_INT, st.lists(WIDE_INT, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_first_draw_of_rng_for(self, seed, tag, counter, extra):
+        # 0, the largest uint32 and values past it in every example
+        idx = np.array([0, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 40]
+                       + extra, dtype=np.int64)
+        got = first_random(seed, tag, counter, idx)
+        want = np.array([rng_for(seed, tag, counter, int(i)).random()
+                         for i in idx])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_empty_indices(self):
+        assert first_random(1, 2, 3, []).shape == (0,)

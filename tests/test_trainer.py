@@ -6,7 +6,7 @@ import pytest
 from fiqlab import backbone as bb
 from fiqlab import margin, synthdata, trainer
 from fiqlab.errors import ConfigError, FormatError, NumericError
-from fiqlab.rngstreams import T_PERM, rng_for
+from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -118,19 +118,27 @@ class TestSgdUpdate:
         assert p[0] == pytest.approx(2.0 - 0.1 * 1.0, abs=1e-12)
 
 
+def flips(config, epoch, dataset):
+    """The epoch flip mask run_training hands to _build_half."""
+    return trainer.epoch_flips(config.seed, epoch, dataset.num_samples)
+
+
 def run_steps(config, dataset, n_steps, state=None, aug_override=None):
     """Drive train_step directly with the trainer's own batch builder."""
     if state is None:
         state = trainer.init_train_state(config, dataset)
     b = config.batch_size
     perm = rng_for(config.seed, T_PERM, 0).permutation(dataset.num_samples)
+    mask = flips(config, 0, dataset)
     for t in range(n_steps):
         idx = perm[t * b:(t + 1) * b]
-        clean = trainer._build_half(dataset, idx[:b // 2], config, 0, False)
+        clean = trainer._build_half(dataset, idx[:b // 2], config, 0, False,
+                                    mask)
         if aug_override is not None:
             aug = aug_override
         else:
-            aug = trainer._build_half(dataset, idx[b // 2:], config, 0, True)
+            aug = trainer._build_half(dataset, idx[b // 2:], config, 0, True,
+                                      mask)
         trainer.train_step(state, config, clean, aug, config.lr)
     return state
 
@@ -145,7 +153,8 @@ class TestTrainStep:
         perm = rng_for(cfg.seed, T_PERM, 0).permutation(dataset.num_samples)
         for t in range(4):
             idx = perm[t * 8:(t + 1) * 8]
-            imgs, labels = trainer._build_half(dataset, idx[:4], cfg, 0, False)
+            imgs, labels = trainer._build_half(dataset, idx[:4], cfg, 0, False,
+                                               flips(cfg, 0, dataset))
             emb, cache = bb.forward(ref.model, imgs)
             arc = margin.arcface_loss(ref.bank, emb, labels)
             grads = bb.backward(ref.model, cache, arc.grad_emb).as_dict()
@@ -168,8 +177,10 @@ class TestTrainStep:
         head_before = state.head.weight.copy()
         b = cfg.batch_size
         idx = np.flatnonzero(dataset.labels.astype(int) == 0)[:b // 2]
-        clean = trainer._build_half(dataset, idx, cfg, 0, False)
-        aug = trainer._build_half(dataset, idx, cfg, 0, True)
+        clean = trainer._build_half(dataset, idx, cfg, 0, False,
+                                    flips(cfg, 0, dataset))
+        aug = trainer._build_half(dataset, idx, cfg, 0, True,
+                                  flips(cfg, 0, dataset))
         # freeze the tracker so weights stay zero for class 0
         state.tracker.alpha_start = state.tracker.alpha_end = 1.0
         trainer.train_step(state, cfg, clean, aug, cfg.lr)
@@ -187,8 +198,10 @@ class TestTrainStep:
     def test_backbone_depends_only_on_clean_half(self, dataset):
         cfg = tiny_config(propagate_lig_to_backbone=False)
         state_a = run_steps(cfg, dataset, 2)
+        other_cfg = dataclasses.replace(cfg, seed=99)
         other = trainer._build_half(
-            dataset, np.arange(4), dataclasses.replace(cfg, seed=99), 1, True)
+            dataset, np.arange(4), other_cfg, 1, True,
+            flips(other_cfg, 1, dataset))
         state_b = run_steps(cfg, dataset, 2, aug_override=other)
         for name in ("w1", "b1", "w2", "b2", "bank_w"):
             assert np.array_equal(state_a.trainable()[name],
@@ -207,8 +220,10 @@ class TestTrainStep:
         s1 = trainer.init_train_state(cfg, dataset)
         s2 = trainer.init_train_state(cfg, dataset)
         s2.head.weight[:] = rng_for(0, 90).standard_normal(16).astype(np.float32)
-        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False)
-        aug = trainer._build_half(dataset, np.arange(4, 8), cfg, 0, True)
+        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
+                                    flips(cfg, 0, dataset))
+        aug = trainer._build_half(dataset, np.arange(4, 8), cfg, 0, True,
+                                  flips(cfg, 0, dataset))
         trainer.train_step(s1, cfg, clean, aug, cfg.lr)
         trainer.train_step(s2, cfg, clean, aug, cfg.lr)
         assert np.array_equal(s1.last_step.cr_targets, s2.last_step.cr_targets)
@@ -219,7 +234,8 @@ class TestTrainStep:
         cfg = tiny_config()
         state = trainer.init_train_state(cfg, dataset)
         state.model.w1[:] = np.inf
-        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False)
+        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
+                                    flips(cfg, 0, dataset))
         with pytest.raises(NumericError):
             trainer.train_step(state, cfg, clean, clean, cfg.lr)
 
@@ -248,7 +264,8 @@ class TestUnsplitStep:
         perm = rng_for(cfg.seed, T_PERM, 0).permutation(dataset.num_samples)
         for t in range(3):
             idx = perm[t * 8:(t + 1) * 8]
-            full = trainer._build_half(dataset, idx, cfg, 0, True)
+            full = trainer._build_half(dataset, idx, cfg, 0, True,
+                                       flips(cfg, 0, dataset))
             calls.clear()
             trainer.train_step(fast, cfg, full, full, cfg.lr)
             assert calls == [8]
@@ -262,7 +279,88 @@ class TestUnsplitStep:
                 == (tmp_path / "oracle.bin").read_bytes())
 
 
+def build_half_loop(dataset, indices, config, epoch, degraded, flips=None):
+    """The per-image batch build: each sample draws its flip from its own
+    T_FLIP stream through hflip, then its augmentation from its own T_AUG
+    stream.  ``flips`` is ignored."""
+    imgs = np.empty((len(indices), dataset.side, dataset.side),
+                    dtype=dataset.images.dtype)
+    for row, i in enumerate(indices):
+        i = int(i)
+        img = synthdata.hflip(dataset.images[i],
+                              rng_for(config.seed, T_FLIP, epoch, i))
+        if degraded and config.augment_p > 0.0:
+            img = synthdata.augment(img, rng_for(config.seed, T_AUG, epoch, i),
+                                    config.augment_p)
+        imgs[row] = img
+    return imgs, np.asarray(dataset.labels, dtype=np.int64)[indices]
+
+
+class TestBuildHalf:
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("augment_p", [0.0, 0.3])
+    def test_equals_per_image_loop(self, dataset, split, augment_p):
+        cfg = tiny_config(augment_p=augment_p, split_batch=split)
+        before = dataset.images.copy()
+        b = cfg.batch_size
+        for epoch in range(2):
+            mask = flips(cfg, epoch, dataset)
+            perm = rng_for(cfg.seed, T_PERM, epoch).permutation(
+                dataset.num_samples)
+            for t in range(dataset.num_samples // b):
+                idx = perm[t * b:(t + 1) * b]
+                halves = ([(idx[:b // 2], False), (idx[b // 2:], True)]
+                          if split else [(idx, True)])
+                for part, degraded in halves:
+                    imgs, labels = trainer._build_half(
+                        dataset, part, cfg, epoch, degraded, mask)
+                    want_imgs, want_labels = build_half_loop(
+                        dataset, part, cfg, epoch, degraded)
+                    assert imgs.dtype == want_imgs.dtype
+                    assert np.array_equal(imgs, want_imgs)
+                    assert np.array_equal(labels, want_labels)
+        assert np.array_equal(dataset.images, before)
+
+    def test_epoch_flips_mirror_about_half(self, dataset):
+        mask = flips(tiny_config(), 0, dataset)
+        assert mask.shape == (dataset.num_samples,)
+        assert 0 < mask.sum() < dataset.num_samples
+
+
 class TestRunTraining:
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_same_bytes_as_per_image_batch_build(self, dataset, tmp_path,
+                                                 monkeypatch, variant):
+        cfg = trainer.apply_variant(tiny_config(epochs=3), variant)
+        outputs = {}
+        for build in ("mask", "loop"):
+            if build == "loop":
+                monkeypatch.setattr(trainer, "_build_half", build_half_loop)
+            out = tmp_path / build
+            out.mkdir()
+            _, logs = trainer.run_training(cfg, dataset, checkpoint_dir=out)
+            trainer.write_report_csv(logs, out / "report.csv")
+            outputs[build] = {p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())}
+        assert sorted(outputs["mask"]) == ["ckpt_epoch0001.bin",
+                                           "ckpt_epoch0002.bin", "report.csv"]
+        assert outputs["mask"] == outputs["loop"]
+
+    def test_oracle_errors_propagate(self, dataset, monkeypatch):
+        def broken(dataset, model):
+            raise ValueError("oracle failed")
+
+        monkeypatch.setattr(trainer.evalkit, "oracle_variance", broken)
+        with pytest.raises(ValueError, match="oracle failed"):
+            trainer.run_training(tiny_config(epochs=1), dataset)
+
+    def test_constant_tracker_logs_nan_correlation(self, dataset):
+        # momentum 1 throughout keeps every class at its initial v = 1
+        cfg = tiny_config(epochs=1, alpha_start=1.0, alpha_end=1.0)
+        state, logs = trainer.run_training(cfg, dataset)
+        assert np.all(state.tracker.v == 1.0)
+        assert np.isnan(logs[0].pearson_var_v)
+
     def test_zero_epochs_returns_initial_state(self, dataset):
         cfg = tiny_config(epochs=0)
         state, logs = trainer.run_training(cfg, dataset)
