@@ -62,7 +62,8 @@ class ForwardCache:
     hidden: np.ndarray
     embeddings: np.ndarray
     norms: np.ndarray
-    model_id: int = 0
+    # the model itself, not its id: a freed model's id can be reused
+    model: object = None
 
 
 def init_backbone(input_dim, hidden_dim=128, embed_dim=64, rng=None,
@@ -105,8 +106,7 @@ def forward(model, batch):
             f"pre-normalization norm below {NORM_FLOOR}")
     embeddings = pre_norm / norms[:, None]
     cache = ForwardCache(x=x, pre_hidden=pre_hidden, hidden=hidden,
-                         embeddings=embeddings, norms=norms,
-                         model_id=id(model))
+                         embeddings=embeddings, norms=norms, model=model)
     return embeddings, cache
 
 
@@ -115,7 +115,7 @@ def backward(model, cache, grad_wrt_embeddings):
     parameters.  The radial component of the gradient is removed per
     sample before entering the linear layers.
     """
-    if cache.model_id != id(model):
+    if cache.model is not model:
         raise StaleCacheError("cache was produced by a different model")
     g = np.asarray(grad_wrt_embeddings)
     if g.shape != cache.embeddings.shape:
@@ -197,9 +197,3 @@ def grad_check(model, loss_fn, batch, tol=1e-4, step=1e-4, n_samples=60,
     return GradCheckReport(max_rel_err=max_err, n_checked=len(picks), tol=tol,
                            worst=worst)
 
-
-# ---------------------------------------------------------------------------
-# parameter (de)serialization helpers shared with the trainer checkpoint
-
-def dump_params(model):
-    return [model.w1, model.b1, model.w2, model.b2]

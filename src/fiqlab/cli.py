@@ -31,7 +31,7 @@ from .errors import (
     NumericError,
     StructuralError,
 )
-from .rngstreams import T_FLIP, first_random, rng_for
+from .rngstreams import T_DEGRADE, T_FLIP, first_random, rng_for
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -358,6 +358,17 @@ def _selfchecks():
         worst = max(worst, float(np.abs(
             first_random(seed, T_FLIP, 2, idx) - loop).max()))
     checks.append(("flip streams match rng_for", worst, 0.0))
+
+    # generation takes each sample's degrade coin from first_random with
+    # the class as a per-element counter
+    worst = 0.0
+    classes, samples = np.arange(12)[:, None], np.arange(25)
+    for seed in (0, 2 ** 32 - 1):
+        loop = np.array([[rng_for(seed, T_DEGRADE, c, i).random()
+                          for i in range(25)] for c in range(12)])
+        worst = max(worst, float(np.abs(
+            first_random(seed, T_DEGRADE, classes, samples) - loop).max()))
+    checks.append(("degrade coins match rng_for", worst, 0.0))
 
     thr = evalkit.fmr_threshold([0.1, 0.2, 0.3, 0.4], 0.25)
     checks.append(("fmr threshold hand example", abs(thr - 0.35), 1e-12))

@@ -119,13 +119,22 @@ def _pcg_step(state, inc):
     return _carry(cols)
 
 
+def _low_words(values):
+    """Values modulo 2**32 as uint32; a scalar may be any Python int."""
+    if np.ndim(values) == 0:
+        return np.uint32(int(values) & _M32)
+    return (np.asarray(values, dtype=np.int64) & _M32).astype(np.uint32)
+
+
 def first_random(seed, tag, counter, indices):
-    """``rng_for(seed, tag, counter, i).random()`` for every ``i`` in
-    ``indices``, bit for bit, computed in one vectorised pass."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    words = [np.full(idx.shape, int(v) & _M32, dtype=np.uint32)
-             for v in (seed, tag, counter)]
-    words.append((idx & _M32).astype(np.uint32))
+    """``rng_for(seed, tag, c, i).random()`` for every pair of ``counter``
+    and ``indices`` broadcast against each other, bit for bit, computed
+    in one vectorised pass; the result has their broadcast shape."""
+    counter, idx = np.broadcast_arrays(_low_words(counter), _low_words(indices))
+    shape = idx.shape
+    words = [np.full(idx.size, int(v) & _M32, dtype=np.uint32)
+             for v in (seed, tag)]
+    words += [counter.ravel(), idx.ravel()]
     s = [w.astype(np.uint64) for w in _seed_state(words)]
     # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
     # word 0 as the high half of the initial state, word 2 of the sequence.
@@ -135,7 +144,7 @@ def first_random(seed, tag, counter, indices):
     for k in range(1, 4):
         inc.append(((seq[k] << np.uint64(1)) | (seq[k - 1] >> np.uint64(31)))
                    & np.uint64(_M32))
-    zero = np.zeros(idx.shape, dtype=np.uint64)
+    zero = np.zeros(idx.size, dtype=np.uint64)
     state = _pcg_step([zero] * 4, inc)
     state = _carry([a + b for a, b in zip(state, init)])
     state = _pcg_step(_pcg_step(state, inc), inc)
@@ -145,4 +154,4 @@ def first_random(seed, tag, counter, indices):
     x = hi ^ lo
     rot = state[3] >> np.uint64(26)
     x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return ((x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).reshape(shape)

@@ -33,6 +33,7 @@ from .rngstreams import (
     T_DEGRADE_SHARED,
     T_SAMPLE,
     T_TEMPLATE,
+    first_random,
     rng_for,
 )
 
@@ -301,19 +302,30 @@ def degrade(img, level, rng):
 # generation
 
 def _sample_template(grid, side, dy, dx):
-    """Evaluate the coarse template grid at a shifted pixel lattice."""
+    """Evaluate the coarse template grid at shifted pixel lattices, one
+    per entry of the shift arrays ``dy`` and ``dx``: (n, side, side).
+
+    The arithmetic is elementwise, so each image has the bits it would
+    have if evaluated alone.
+    """
     g = grid.shape[0]
     coords = np.linspace(0.0, g - 1.0, side)
-    ys = np.clip(coords + dy, 0.0, g - 1.0)
-    xs = np.clip(coords + dx, 0.0, g - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, g - 1)
-    x1 = np.minimum(x0 + 1, g - 1)
-    ty = (ys - y0)[:, None]
-    tx = (xs - x0)[None, :]
-    top = grid[np.ix_(y0, x0)] * (1 - tx) + grid[np.ix_(y0, x1)] * tx
-    bot = grid[np.ix_(y1, x0)] * (1 - tx) + grid[np.ix_(y1, x1)] * tx
+    ys = np.clip(coords + np.asarray(dy, dtype=np.float64)[:, None], 0.0, g - 1.0)
+    xs = np.clip(coords + np.asarray(dx, dtype=np.float64)[:, None], 0.0, g - 1.0)
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    ty = (ys - y0)[:, :, None]
+    tx = (xs - x0)[:, None, :]
+    # flat offsets into the grid: a 1-D gather is cheaper than a 2-D one
+    y0 = y0.astype(np.intp)
+    x0 = x0.astype(np.intp)
+    r0 = (y0 * g)[:, :, None]
+    r1 = (np.minimum(y0 + 1, g - 1) * g)[:, :, None]
+    c0 = x0[:, None, :]
+    c1 = np.minimum(x0 + 1, g - 1)[:, None, :]
+    flat = grid.ravel()
+    top = flat[r0 + c0] * (1 - tx) + flat[r0 + c1] * tx
+    bot = flat[r1 + c0] * (1 - tx) + flat[r1 + c1] * tx
     return top * (1 - ty) + bot * ty
 
 
@@ -324,7 +336,11 @@ def gen_dataset(cfg):
     and apply identical operator draws to every sample, so the class
     stays a near-identical cluster of (possibly degraded) images; this
     is the mislabel trap the variance guidance is meant to catch.
-    Normal classes draw degradation per sample.
+    Normal classes draw degradation per sample: the first draw of the
+    sample's ``T_DEGRADE`` stream is its coin, computed for all samples
+    at once by ``first_random``, and only a sample whose coin falls
+    below ``degrade_fraction`` builds the stream for its level and
+    operator draws.
     """
     cfg.validate()
     c_total, n, side = cfg.num_classes, cfg.samples_per_class, cfg.side
@@ -337,8 +353,12 @@ def gen_dataset(cfg):
 
     grid_side = min(_TEMPLATE_GRID, side)
     images = np.empty((c_total * n, side, side), dtype=np.float32)
-    labels = np.empty(c_total * n, dtype=np.uint32)
-    levels = np.empty(c_total * n, dtype=np.float32)
+    labels = np.repeat(np.arange(c_total, dtype=np.uint32), n)
+    levels = np.zeros(c_total * n, dtype=np.float32)
+
+    # normal classes only read their rows
+    degraded = first_random(seed, T_DEGRADE, np.arange(c_total)[:, None],
+                            np.arange(n)) < cfg.degrade_fraction
 
     for c in range(c_total):
         template = rng_for(seed, T_TEMPLATE, c).uniform(0.0, 1.0,
@@ -347,38 +367,38 @@ def gen_dataset(cfg):
         # for: a horizontal flip then acts as another pose draw instead
         # of injecting variance the pose model does not account for.
         template = 0.5 * (template + template[:, ::-1])
+        rows = slice(c * n, (c + 1) * n)
         if flags[c] == FLAG_DUPLICATE:
             class_rng = rng_for(seed, T_DEGRADE, c)
-            degraded = class_rng.random() < cfg.degrade_fraction
-            class_level = 1.0 - class_rng.random() if degraded else 0.0
+            degraded_class = class_rng.random() < cfg.degrade_fraction
+            level = 1.0 - class_rng.random() if degraded_class else 0.0
+            noise = np.empty((n, side, side))
+            for i in range(n):
+                noise[i] = rng_for(seed, T_SAMPLE, c, i).uniform(
+                    -DUPLICATE_PIXEL_TOL / 4, DUPLICATE_PIXEL_TOL / 4,
+                    (side, side))
+            imgs = np.clip(_sample_template(template, side, [0.0], [0.0])
+                           + noise, 0.0, 1.0)
+            if level > 0.0:
+                for i in range(n):
+                    # Fresh stream per sample with identical draws keeps
+                    # the degraded copies within the duplicate tolerance.
+                    imgs[i] = degrade(imgs[i], level,
+                                      rng_for(seed, T_DEGRADE_SHARED, c))
+                levels[rows] = level
         else:
             class_pose = cfg.pose_spread * rng_for(seed, T_TEMPLATE, c, 1).uniform(
                 _POSE_SCALE_LO, _POSE_SCALE_HI)
-        for i in range(n):
-            row = c * n + i
-            srng = rng_for(seed, T_SAMPLE, c, i)
-            if flags[c] == FLAG_DUPLICATE:
-                img = _sample_template(template, side, 0.0, 0.0)
-                img = img + srng.uniform(-DUPLICATE_PIXEL_TOL / 4,
-                                         DUPLICATE_PIXEL_TOL / 4,
-                                         (side, side))
-                img = np.clip(img, 0.0, 1.0)
-                level = class_level
-                if level > 0.0:
-                    # Fresh stream per sample with identical draws keeps the
-                    # degraded copies within the duplicate tolerance.
-                    img = degrade(img, level, rng_for(seed, T_DEGRADE_SHARED, c))
-            else:
-                dy, dx = srng.normal(0.0, class_pose, 2)
-                img = _sample_template(template, side, dy, dx)
+            shifts = np.array([rng_for(seed, T_SAMPLE, c, i).normal(
+                0.0, class_pose, 2) for i in range(n)])
+            imgs = _sample_template(template, side, shifts[:, 0], shifts[:, 1])
+            for i in np.flatnonzero(degraded[c]):
                 drng = rng_for(seed, T_DEGRADE, c, i)
-                level = 0.0
-                if drng.random() < cfg.degrade_fraction:
-                    level = 1.0 - drng.random()
-                    img = degrade(img, level, drng)
-            images[row] = img
-            labels[row] = c
-            levels[row] = level
+                drng.random()  # the coin, already drawn by first_random
+                level = 1.0 - drng.random()
+                imgs[i] = degrade(imgs[i], level, drng)
+                levels[c * n + i] = level
+        images[rows] = imgs
 
     return IdentityDataset(images=images, labels=labels,
                            degradation_level=levels, class_flags=flags)

@@ -86,6 +86,21 @@ class TestBackward:
         with pytest.raises(StaleCacheError):
             bb.backward(model, cache, np.zeros((3, 8)))
 
+    def test_stale_cache_rejected_after_its_model_is_freed(self, batch):
+        def cache_of_dropped_model():
+            dropped = bb.init_backbone(20, hidden_dim=16, embed_dim=8,
+                                       rng=rng_for(1, 0))
+            return bb.forward(dropped, batch)[1]
+
+        cache = cache_of_dropped_model()
+        # same shapes, so only the model check stands between a new model,
+        # which may take the dropped one's memory and id, and the cache
+        for seed in range(20):
+            other = bb.init_backbone(20, hidden_dim=16, embed_dim=8,
+                                     rng=rng_for(2, seed))
+            with pytest.raises(StaleCacheError):
+                bb.backward(other, cache, np.zeros((6, 8)))
+
 
 class TestGradCheck:
     def test_quadratic_toy_loss(self, model, batch):

@@ -269,6 +269,19 @@ class TestSelfcheck:
         assert cli.main(["selfcheck"]) == 3
         assert "FAIL  flip streams match rng_for" in capsys.readouterr().out
 
+    def test_detects_diverged_degrade_coins(self, monkeypatch, capsys):
+        real = cli.first_random
+
+        def off_for_array_counters(seed, tag, counter, indices):
+            out = real(seed, tag, counter, indices)
+            return out if np.ndim(counter) == 0 else np.nextafter(out, 1.0)
+
+        monkeypatch.setattr(cli, "first_random", off_for_array_counters)
+        assert cli.main(["selfcheck"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL  degrade coins match rng_for" in out
+        assert "PASS  flip streams match rng_for" in out
+
     def test_grad_check_command(self, capsys):
         assert cli.main(["grad-check"]) == 0
         assert "PASS" in capsys.readouterr().out

@@ -48,5 +48,28 @@ class TestFirstRandom:
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
 
+    @given(WIDE_INT, WIDE_INT,
+           st.lists(st.tuples(WIDE_INT, WIDE_INT), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_per_element_counters(self, seed, tag, pairs):
+        pairs = [(0, 2 ** 40), (2 ** 32 - 1, 0), (2 ** 32 + 7, -1)] + pairs
+        counters = np.array([c for c, _ in pairs], dtype=np.int64)
+        idx = np.array([i for _, i in pairs], dtype=np.int64)
+        got = first_random(seed, tag, counters, idx)
+        want = np.array([rng_for(seed, tag, int(c), int(i)).random()
+                         for c, i in pairs])
+        assert np.array_equal(got, want)
+
+    def test_counters_broadcast_against_indices(self):
+        counters = np.array([[3], [2 ** 32 + 3], [-5]])
+        idx = np.arange(4)
+        got = first_random(8, 4, counters, idx)
+        assert got.shape == (3, 4)
+        want = [[rng_for(8, 4, int(c), int(i)).random() for i in idx]
+                for c in counters[:, 0]]
+        assert np.array_equal(got, np.array(want))
+        # counter 2**32 + 3 is counter 3 modulo 2**32
+        assert np.array_equal(got[0], got[1])
+
     def test_empty_indices(self):
         assert first_random(1, 2, 3, []).shape == (0,)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from fiqlab import synthdata
 from fiqlab.errors import ConfigError, DomainError, FormatError
-from fiqlab.rngstreams import rng_for
+from fiqlab.rngstreams import (
+    T_CLASS_FLAGS,
+    T_DEGRADE,
+    T_DEGRADE_SHARED,
+    T_SAMPLE,
+    T_TEMPLATE,
+    rng_for,
+)
 
 
 def small_cfg(**kw):
@@ -101,6 +108,108 @@ class TestGenDataset:
         dup = ds.class_flags == synthdata.FLAG_DUPLICATE
         assert var[dup].mean() < var[~dup].mean()
         assert var[dup].max() < var[~dup].min()
+
+
+def per_sample_template(grid, side, dy, dx):
+    """The template at one shifted lattice, one image per call."""
+    g = grid.shape[0]
+    coords = np.linspace(0.0, g - 1.0, side)
+    ys = np.clip(coords + dy, 0.0, g - 1.0)
+    xs = np.clip(coords + dx, 0.0, g - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, g - 1)
+    x1 = np.minimum(x0 + 1, g - 1)
+    ty = (ys - y0)[:, None]
+    tx = (xs - x0)[None, :]
+    top = grid[np.ix_(y0, x0)] * (1 - tx) + grid[np.ix_(y0, x1)] * tx
+    bot = grid[np.ix_(y1, x0)] * (1 - tx) + grid[np.ix_(y1, x1)] * tx
+    return top * (1 - ty) + bot * ty
+
+
+def per_sample_gen_dataset(cfg):
+    """gen_dataset one sample at a time, every coin drawn from the
+    sample's own stream: the reference the class-at-a-time version
+    must match byte for byte."""
+    c_total, n, side, seed = (cfg.num_classes, cfg.samples_per_class,
+                              cfg.side, cfg.seed)
+    n_dup = int(round(cfg.duplicate_class_fraction * c_total))
+    flags = np.zeros(c_total, dtype=np.uint8)
+    flags[rng_for(seed, T_CLASS_FLAGS).permutation(c_total)[:n_dup]] = 1
+    grid_side = min(synthdata._TEMPLATE_GRID, side)
+    images = np.empty((c_total * n, side, side), dtype=np.float32)
+    labels = np.empty(c_total * n, dtype=np.uint32)
+    levels = np.empty(c_total * n, dtype=np.float32)
+    for c in range(c_total):
+        template = rng_for(seed, T_TEMPLATE, c).uniform(
+            0.0, 1.0, (grid_side, grid_side))
+        template = 0.5 * (template + template[:, ::-1])
+        if flags[c] == synthdata.FLAG_DUPLICATE:
+            class_rng = rng_for(seed, T_DEGRADE, c)
+            degraded = class_rng.random() < cfg.degrade_fraction
+            class_level = 1.0 - class_rng.random() if degraded else 0.0
+        else:
+            class_pose = cfg.pose_spread * rng_for(
+                seed, T_TEMPLATE, c, 1).uniform(synthdata._POSE_SCALE_LO,
+                                                synthdata._POSE_SCALE_HI)
+        for i in range(n):
+            row = c * n + i
+            srng = rng_for(seed, T_SAMPLE, c, i)
+            if flags[c] == synthdata.FLAG_DUPLICATE:
+                img = per_sample_template(template, side, 0.0, 0.0)
+                img = img + srng.uniform(-synthdata.DUPLICATE_PIXEL_TOL / 4,
+                                         synthdata.DUPLICATE_PIXEL_TOL / 4,
+                                         (side, side))
+                img = np.clip(img, 0.0, 1.0)
+                level = class_level
+                if level > 0.0:
+                    img = synthdata.degrade(
+                        img, level, rng_for(seed, T_DEGRADE_SHARED, c))
+            else:
+                dy, dx = srng.normal(0.0, class_pose, 2)
+                img = per_sample_template(template, side, dy, dx)
+                drng = rng_for(seed, T_DEGRADE, c, i)
+                level = 0.0
+                if drng.random() < cfg.degrade_fraction:
+                    level = 1.0 - drng.random()
+                    img = synthdata.degrade(img, level, drng)
+            images[row] = img
+            labels[row] = c
+            levels[row] = level
+    return synthdata.IdentityDataset(images=images, labels=labels,
+                                     degradation_level=levels,
+                                     class_flags=flags)
+
+
+class TestClassAtATime:
+    @given(num_classes=st.integers(2, 6), samples=st.integers(2, 5),
+           side=st.integers(4, 26),
+           dup=st.sampled_from([0.0, 0.5, 1.0]),
+           degrade=st.sampled_from([0.0, 0.4, 1.0]),
+           pose=st.sampled_from([0.0, 0.3, 1.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_per_sample_loop(self, num_classes, samples, side,
+                                           dup, degrade, pose, seed):
+        cfg = synthdata.SynthConfig(
+            num_classes=num_classes, samples_per_class=samples, side=side,
+            duplicate_class_fraction=dup, degrade_fraction=degrade,
+            pose_spread=pose, seed=seed)
+        got = synthdata.gen_dataset(cfg)
+        want = per_sample_gen_dataset(cfg)
+        for name in ("images", "labels", "degradation_level", "class_flags"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_batched_template_matches_one_at_a_time(self):
+        grid = rng_for(5, 1).uniform(0.0, 1.0, (12, 12))
+        dy, dx = rng_for(5, 2).normal(0.0, 4.0, (2, 9))
+        got = synthdata._sample_template(grid, 17, dy, dx)
+        assert got.shape == (9, 17, 17)
+        for k in range(9):
+            want = per_sample_template(grid, 17, dy[k], dx[k])
+            assert got[k].tobytes() == want.tobytes()
 
 
 class TestRescaleBlur:
