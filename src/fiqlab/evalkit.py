@@ -27,11 +27,15 @@ from .errors import (
 from .rngstreams import T_PAIRS, rng_for
 
 
-@dataclass(frozen=True)
-class VerificationPair:
-    index_a: int
-    index_b: int
-    genuine: bool
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Verification pairs as arrays: int64 sample indices, bool mated."""
+    index_a: np.ndarray
+    index_b: np.ndarray
+    genuine: np.ndarray
+
+    def __len__(self):
+        return self.index_a.shape[0]
 
 
 @dataclass
@@ -45,16 +49,17 @@ class ErcCurve:
 # ---------------------------------------------------------------------------
 # pair protocol
 
-def gen_pairs(dataset, rng=None, max_per_class=None, nonmated_count=0,
-              seed=0):
+def gen_pairs(dataset, max_per_class=None, nonmated_count=0, seed=0):
     """Enumerate mated pairs (up to ``max_per_class`` per class) plus
     ``nonmated_count`` random cross-class pairs.  Deterministic for a
     fixed seed; classes with fewer than two samples simply contribute no
     mated pairs.  Asking for more non-mated pairs than there are distinct
     cross-class pairs raises DomainError.
     """
-    if rng is None:
-        rng = rng_for(seed, T_PAIRS)
+    if nonmated_count < 0 or (max_per_class or 0) < 0:
+        raise DomainError(f"pair counts must be >= 0, got max_per_class="
+                          f"{max_per_class}, nonmated_count={nonmated_count}")
+    rng = rng_for(seed, T_PAIRS)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     n = labels.shape[0]
     sizes = np.bincount(labels).tolist()
@@ -63,31 +68,42 @@ def gen_pairs(dataset, rng=None, max_per_class=None, nonmated_count=0,
         raise DomainError(
             f"{nonmated_count} non-mated pairs requested, but only {cross} "
             f"distinct cross-class pairs exist")
-    pairs = []
+    # a stable sort keeps each class's members in ascending index order
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order],
+                             np.arange(dataset.num_classes + 1)).tolist()
+    triangles, parts = {}, []
     for c in range(dataset.num_classes):
-        members = np.flatnonzero(labels == c).tolist()
-        # row-major upper triangle: itertools.combinations order
-        first, second = np.triu_indices(len(members), k=1)
-        if max_per_class is not None and first.size > max_per_class:
-            picks = sorted(rng.choice(first.size, size=max_per_class,
-                                      replace=False))
-            first, second = first[picks], second[picks]
-        # pairs share the member index objects rather than each holding
-        # copies, as the pair list can run to 10^5 entries
-        pairs.extend(VerificationPair(members[a], members[b], True)
-                     for a, b in zip(first.tolist(), second.tolist()))
+        members = order[bounds[c]:bounds[c + 1]]
+        k = members.size
+        if k not in triangles:  # itertools.combinations order
+            triangles[k] = np.array(np.triu_indices(k, k=1))
+        tri = triangles[k]
+        if max_per_class is not None and tri.shape[1] > max_per_class:
+            tri = tri[:, np.sort(rng.choice(tri.shape[1], size=max_per_class,
+                                            replace=False))]
+        parts.append(members[tri])
 
-    seen = set()
-    while len(seen) < nonmated_count:
-        a, b = (int(x) for x in rng.integers(0, n, 2))
-        if a == b or labels[a] == labels[b]:
-            continue
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(VerificationPair(key[0], key[1], False))
-    return pairs
+    # The rows of integers(0, n, (m, 2)) are the draws of m calls of
+    # integers(0, n, 2), so the first new keys in row order are the pairs
+    # a draw-at-a-time loop keeps.  A block holds the draws expected to
+    # yield the pairs still needed, within a memory cap.
+    picked = {}  # key lo * n + hi -> None, in draw order
+    while len(picked) < nonmated_count:
+        need = nonmated_count - len(picked)
+        expected = -(-need * n * n // (2 * (cross - len(picked))))
+        a, b = rng.integers(0, n, (max(need, min(expected, 1 << 16)), 2)).T
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        for key in keys[labels[a] != labels[b]].tolist():  # implies a != b
+            picked[key] = None  # a repeated key keeps its first place
+            if len(picked) == nonmated_count:
+                break
+    keys = np.fromiter(picked, np.int64, len(picked))
+    index_a, index_b = np.concatenate(parts + [np.divmod(keys, max(n, 1))],
+                                      axis=1)
+    mated = sum(part.shape[1] for part in parts)
+    return PairSet(index_a=index_a, index_b=index_b,
+                   genuine=np.arange(index_a.size) < mated)
 
 
 def embed_dataset(model, images, batch_size=256):
@@ -101,9 +117,8 @@ def embed_dataset(model, images, batch_size=256):
 
 def pair_similarities(embeddings, pairs):
     """Cosine similarity per pair (embeddings assumed row-unit-norm)."""
-    idx_a = np.array([p.index_a for p in pairs])
-    idx_b = np.array([p.index_b for p in pairs])
-    return np.sum(embeddings[idx_a] * embeddings[idx_b], axis=1)
+    return np.sum(embeddings[pairs.index_a] * embeddings[pairs.index_b],
+                  axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,38 +198,34 @@ def erc(pairs, sims, quality_scores, fmr_target, grid_step=0.01,
     if not 0.0 < grid_step < 1.0:
         raise DomainError("grid_step must lie in (0, 1)")
 
-    genuine = np.array([p.genuine for p in pairs])
-    if not genuine.any():
+    if not pairs.genuine.any():
         raise DomainError("pair set contains no mated pairs")
-    if genuine.all():
+    if pairs.genuine.all():
         raise DomainError("pair set contains no non-mated pairs to "
                           "calibrate the threshold")
-    threshold = fmr_threshold(sims[~genuine], fmr_target)
+    threshold = fmr_threshold(sims[~pairs.genuine], fmr_target)
 
-    idx_a = np.array([p.index_a for p in pairs])
-    idx_b = np.array([p.index_b for p in pairs])
-    pair_quality = np.minimum(scores[idx_a], scores[idx_b])
-    order = np.lexsort((idx_b, idx_a, pair_quality))
+    pair_quality = np.minimum(scores[pairs.index_a], scores[pairs.index_b])
+    order = np.lexsort((pairs.index_b, pairs.index_a, pair_quality))
 
-    total = len(pairs)
-    points = []
+    # Suffix counts of mated and of failed mated pairs along ``order``, read
+    # at each drop count; count / count is np.mean's value, bit for bit.
+    mated = pairs.genuine[order]
+    failed = mated & (sims[order] < threshold)
     n_grid = int(np.floor(max_reject / grid_step + 1e-9))
-    for k in range(n_grid + 1):
-        r = k * grid_step
-        n_drop = int(np.floor(r * total + 1e-9))
-        survivors = order[n_drop:]
-        kept_mated = survivors[genuine[survivors]]
-        if kept_mated.size == 0:
-            break
-        value = float(np.mean(sims[kept_mated] < threshold))
-        points.append((r, value))
-
+    rates = np.arange(n_grid + 1) * grid_step
+    n_drop = np.minimum(np.floor(rates * len(pairs) + 1e-9).astype(np.int64),
+                        len(pairs))
+    kept = np.append(np.cumsum(mated[::-1])[::-1], 0)[n_drop]
+    below = np.append(np.cumsum(failed[::-1])[::-1], 0)[n_drop]
+    # kept only falls along the grid: the points with kept > 0 are the
+    # curve up to the first point without a mated survivor
+    points = np.stack([rates, below / np.maximum(kept, 1)], axis=1)[kept > 0]
     if len(points) < 2:
         raise UndefinedFnmrError(
             "curve truncated before two grid points; no AUC")
-    pts = np.asarray(points)
-    return ErcCurve(fmr_target=fmr_target, threshold=threshold, points=pts,
-                    auc=auc(pts))
+    return ErcCurve(fmr_target=fmr_target, threshold=threshold,
+                    points=points, auc=auc(points))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +323,6 @@ def tracker_cost_probe(dataset, model, tracker, batch_size=64, repeats=5):
     labels = np.asarray(dataset.labels, dtype=np.int64)[idx]
     # CCS against the per-class centroid direction stands in for the
     # prototype cosine; the probe measures cost, not training accuracy.
-    full = oracle_variance(dataset, model)  # warm cache, discarded
-    del full
     centroids = np.zeros((dataset.num_classes, model.embed_dim))
     all_emb = embed_dataset(model, dataset.images)
     all_labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -362,7 +371,7 @@ def write_auc_csv(rows, path):
 
 
 def write_pairs_csv(pairs, path):
+    rows = np.stack([pairs.index_a, pairs.index_b, pairs.genuine], axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("idx_a,idx_b,genuine\n")
-        for p in pairs:
-            fh.write(f"{p.index_a},{p.index_b},{int(p.genuine)}\n")
+        fh.write(("%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))

@@ -85,18 +85,8 @@ def cosines(bank, emb):
     return np.clip(cos, -1.0, 1.0)
 
 
-def ccs_nnccs(cos_row, label):
-    """Own-class cosine and the maximum cosine over the other classes."""
-    row = np.asarray(cos_row)
-    if row.shape[0] < 2:
-        raise DomainError("NNCCS is undefined with fewer than 2 classes")
-    ccs = row[label]
-    nnccs = max(row[j] for j in range(row.shape[0]) if j != label)
-    return float(ccs), float(nnccs)
-
-
 def ccs_nnccs_batch(cos, labels):
-    """Vectorized ccs_nnccs over a (batch x classes) cosine matrix."""
+    """Per row: own-class cosine and the largest other-class cosine."""
     cos = np.asarray(cos)
     if cos.shape[1] < 2:
         raise DomainError("NNCCS is undefined with fewer than 2 classes")

@@ -145,9 +145,8 @@ def clean_pair_fnmr(model, dataset, fmr, seed):
     pairs = evalkit.gen_pairs(dataset, max_per_class=40, nonmated_count=6000,
                               seed=seed)
     sims = evalkit.pair_similarities(emb, pairs)
-    genuine = np.array([p.genuine for p in pairs])
-    threshold = evalkit.fmr_threshold(sims[~genuine], fmr)
-    return evalkit.fnmr(sims[genuine], threshold)
+    threshold = evalkit.fmr_threshold(sims[~pairs.genuine], fmr)
+    return evalkit.fnmr(sims[pairs.genuine], threshold)
 
 
 @dataclass

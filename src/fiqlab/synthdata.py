@@ -20,6 +20,7 @@ Dataset container format (little-endian):
 """
 
 import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -212,19 +213,19 @@ def _erase_rect(img, rng, lo_frac, hi_frac):
     """
     side = img.shape[0]
     total = side * side
-    lo_px = max(1, int(np.ceil(lo_frac * total)))
-    hi_px = int(np.floor(hi_frac * total))
+    lo_px = max(1, math.ceil(lo_frac * total))
+    hi_px = math.floor(hi_frac * total)
     if hi_px < 1:
         return img.copy()
     lo_px = min(lo_px, hi_px)
     area = rng.uniform(lo_frac, hi_frac) * total
     aspect = rng.uniform(0.5, 2.0)
-    h_lo = max(1, int(np.ceil(lo_px / side)))
+    h_lo = max(1, math.ceil(lo_px / side))
     h_hi = min(side, hi_px)
-    h = int(np.clip(int(round(np.sqrt(area * aspect))), h_lo, max(h_lo, h_hi)))
-    w_lo = max(1, int(np.ceil(lo_px / h)))
+    h = min(max(round(math.sqrt(area * aspect)), h_lo), max(h_lo, h_hi))
+    w_lo = max(1, math.ceil(lo_px / h))
     w_hi = min(side, hi_px // h)
-    w = int(np.clip(int(round(area / h)), w_lo, max(w_lo, w_hi)))
+    w = min(max(round(area / h), w_lo), max(w_lo, w_hi))
     top = int(rng.integers(0, side - h + 1))
     left = int(rng.integers(0, side - w + 1))
     out = img.copy()

@@ -14,10 +14,18 @@ import pytest
 
 from fiqlab import backbone as bb
 from fiqlab import cli, evalkit, margin, quality, reference, synthdata, variance
-from fiqlab.evalkit import VerificationPair
+from fiqlab.evalkit import PairSet
 from fiqlab.rngstreams import rng_for
 
 SEEDS = (0, 1, 2, 3, 4)
+
+
+def pair_set(rows):
+    """A PairSet from (index_a, index_b, genuine) rows."""
+    a, b, g = zip(*rows)
+    return PairSet(index_a=np.array(a, dtype=np.int64),
+                   index_b=np.array(b, dtype=np.int64),
+                   genuine=np.array(g, dtype=bool))
 
 
 def record(criterion, ok, detail):
@@ -292,11 +300,10 @@ def test_criterion_8_evaluator_correctness():
     checks.append(evalkit.fnmr([0.9, 0.8], 0.5) == 0.0)
     checks.append(evalkit.fnmr([0.1, 0.2], 0.5) == 1.0)
 
-    pairs = [
-        VerificationPair(0, 1, True), VerificationPair(2, 3, True),
-        VerificationPair(4, 5, True), VerificationPair(6, 7, True),
-        VerificationPair(0, 2, False), VerificationPair(1, 4, False),
-    ]
+    pairs = pair_set([
+        (0, 1, True), (2, 3, True), (4, 5, True), (6, 7, True),
+        (0, 2, False), (1, 4, False),
+    ])
     sims = np.array([0.9, 0.8, 0.3, 0.2, 0.4, 0.6])
     scores = np.array([0.9, 0.95, 0.8, 0.85, 0.7, 0.75, 0.1, 0.2])
     curve = evalkit.erc(pairs, sims, scores, fmr_target=0.5, grid_step=0.25,

@@ -209,6 +209,23 @@ class TestErc:
         assert code == 1
         assert "540 distinct cross-class pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--max-per-class", "max_per_class=-1, nonmated_count=120"),
+        ("--nonmated", "max_per_class=60, nonmated_count=-1"),
+    ])
+    def test_negative_pair_count_usage_error(self, trained, capsys, flag,
+                                             message):
+        workspace, ds_path, out_dir = trained
+        scores = workspace / "s" / "scores.csv"
+        assert run(["score", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--out", scores]) == 0
+        code = run(["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--scores", scores,
+                    "--fmr", "0.05", "--nonmated", "120", flag, "-1",
+                    "--out", workspace / "e"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_row, message", [
         ("-1,0.75", "sample id -1 outside [0, 36)"),
         ("36,0.75", "sample id 36 outside [0, 36)"),

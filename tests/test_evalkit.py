@@ -1,8 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiqlab import backbone as bb
@@ -13,8 +14,8 @@ from fiqlab.errors import (
     UndefinedCorrelationError,
     UndefinedFnmrError,
 )
-from fiqlab.evalkit import VerificationPair
-from fiqlab.rngstreams import rng_for
+from fiqlab.evalkit import PairSet
+from fiqlab.rngstreams import T_PAIRS, rng_for
 
 
 def tiny_dataset(num_classes=3, samples=4, seed=2):
@@ -24,25 +25,84 @@ def tiny_dataset(num_classes=3, samples=4, seed=2):
     return synthdata.gen_dataset(cfg)
 
 
+def pair_set(rows):
+    """A PairSet from (index_a, index_b, genuine) rows."""
+    a, b, g = zip(*rows)
+    return PairSet(index_a=np.array(a, dtype=np.int64),
+                   index_b=np.array(b, dtype=np.int64),
+                   genuine=np.array(g, dtype=bool))
+
+
+def pair_rows(pairs):
+    return list(zip(pairs.index_a.tolist(), pairs.index_b.tolist(),
+                    pairs.genuine.tolist()))
+
+
+def gen_pairs_loop(dataset, max_per_class=None, nonmated_count=0, seed=0):
+    """The object-at-a-time pair generator gen_pairs replaced: members by
+    boolean mask, one integers(0, n, 2) draw per non-mated candidate.
+    Returns (index_a, index_b, genuine) rows."""
+    rng = rng_for(seed, T_PAIRS)
+    labels = np.asarray(dataset.labels, dtype=np.int64)
+    n = labels.shape[0]
+    rows = []
+    for c in range(dataset.num_classes):
+        members = np.flatnonzero(labels == c).tolist()
+        first, second = np.triu_indices(len(members), k=1)
+        if max_per_class is not None and first.size > max_per_class:
+            picks = sorted(rng.choice(first.size, size=max_per_class,
+                                      replace=False))
+            first, second = first[picks], second[picks]
+        rows += [(members[a], members[b], True)
+                 for a, b in zip(first.tolist(), second.tolist())]
+    seen = set()
+    while len(seen) < nonmated_count:
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        if a == b or labels[a] == labels[b]:
+            continue
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append((key[0], key[1], False))
+    return rows
+
+
+def cross_pair_count(labels):
+    n = len(labels)
+    sizes = np.bincount(np.asarray(labels, dtype=np.int64))
+    return n * (n - 1) // 2 - int(np.sum(sizes * (sizes - 1) // 2))
+
+
+@st.composite
+def label_sets(draw):
+    """Shuffled labels of 1-6 classes of uneven sizes, classes of one
+    sample included."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    perm = rng_for(draw(st.integers(0, 2**32 - 1)), 0).permutation(
+        labels.size)
+    return SimpleNamespace(labels=labels[perm], num_classes=len(sizes))
+
+
 class TestGenPairs:
     def test_triangle_combinatorics(self):
         ds = tiny_dataset(num_classes=2, samples=3)
         pairs = evalkit.gen_pairs(ds, nonmated_count=0)
-        genuine = [p for p in pairs if p.genuine]
-        assert len(genuine) == 2 * 3  # C(3,2) per class
+        assert np.count_nonzero(pairs.genuine) == 2 * 3  # C(3,2) per class
 
     def test_nonmated_zero(self):
         ds = tiny_dataset()
         pairs = evalkit.gen_pairs(ds, nonmated_count=0)
-        assert all(p.genuine for p in pairs)
+        assert pairs.genuine.all()
 
     def test_genuine_iff_same_label(self):
         ds = tiny_dataset(num_classes=4, samples=3)
         pairs = evalkit.gen_pairs(ds, nonmated_count=30, seed=5)
         labels = ds.labels.astype(int)
-        for p in pairs:
-            assert p.index_a != p.index_b
-            assert p.genuine == (labels[p.index_a] == labels[p.index_b])
+        assert np.all(pairs.index_a != pairs.index_b)
+        assert np.array_equal(
+            pairs.genuine, labels[pairs.index_a] == labels[pairs.index_b])
 
     def test_max_per_class_cap(self):
         ds = tiny_dataset(num_classes=2, samples=6)
@@ -53,7 +113,7 @@ class TestGenPairs:
         ds = tiny_dataset()
         a = evalkit.gen_pairs(ds, nonmated_count=20, seed=9)
         b = evalkit.gen_pairs(ds, nonmated_count=20, seed=9)
-        assert a == b
+        assert pair_rows(a) == pair_rows(b)
 
     def test_more_nonmated_than_exist_rejected(self):
         # 2 classes x 2 samples: exactly 4 distinct cross-class pairs
@@ -61,14 +121,14 @@ class TestGenPairs:
         with pytest.raises(DomainError):
             evalkit.gen_pairs(ds, nonmated_count=5)
         pairs = evalkit.gen_pairs(ds, nonmated_count=4, seed=3)
-        impostors = {(p.index_a, p.index_b) for p in pairs if not p.genuine}
+        impostors = {(a, b) for a, b, g in pair_rows(pairs) if not g}
         assert impostors == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_mated_pairs_in_combination_order(self):
         ds = tiny_dataset(num_classes=3, samples=5)
-        got = [(p.index_a, p.index_b) for p in
-               evalkit.gen_pairs(ds, max_per_class=4, nonmated_count=0,
-                                 seed=7)]
+        got = [(a, b) for a, b, _ in
+               pair_rows(evalkit.gen_pairs(ds, max_per_class=4,
+                                           nonmated_count=0, seed=7))]
         rng = rng_for(7, evalkit.T_PAIRS)
         expected = []
         for c in range(3):
@@ -76,6 +136,62 @@ class TestGenPairs:
             picks = rng.choice(len(combos), size=4, replace=False)
             expected += [combos[int(i)] for i in sorted(picks)]
         assert got == expected
+
+
+    @given(label_sets(), st.sampled_from([None, 0, 1, 2, 5]),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_pairs_as_draw_at_a_time_loop(self, dataset, max_per_class,
+                                               fill, seed):
+        # nonmated_count from 0 up to exactly the cross-pair cap
+        count = round(fill * cross_pair_count(dataset.labels))
+        got = evalkit.gen_pairs(dataset, max_per_class=max_per_class,
+                                nonmated_count=count, seed=seed)
+        assert got.index_a.dtype == got.index_b.dtype == np.int64
+        assert got.genuine.dtype == bool
+        assert pair_rows(got) == gen_pairs_loop(
+            dataset, max_per_class=max_per_class, nonmated_count=count,
+            seed=seed)
+
+    @pytest.mark.parametrize("count", [5000, 9000])
+    def test_two_large_classes_same_pairs_as_loop(self, count):
+        ds = SimpleNamespace(labels=np.repeat([0, 1], 100), num_classes=2)
+        got = evalkit.gen_pairs(ds, max_per_class=50, nonmated_count=count,
+                                seed=11)
+        assert pair_rows(got) == gen_pairs_loop(
+            ds, max_per_class=50, nonmated_count=count, seed=11)
+
+    def test_every_cross_pair_drawn(self):
+        # 2 x 100 samples: all 10,000 cross pairs, each once
+        ds = SimpleNamespace(labels=np.repeat([0, 1], 100), num_classes=2)
+        pairs = evalkit.gen_pairs(ds, nonmated_count=10000, seed=11)
+        impostors = {(a, b) for a, b, g in pair_rows(pairs) if not g}
+        assert len(pairs) == 2 * 4950 + 10000
+        assert impostors == {(a, b) for a in range(100)
+                             for b in range(100, 200)}
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_per_class": -1}, "max_per_class=-1"),
+        ({"nonmated_count": -1}, "nonmated_count=-1"),
+    ])
+    def test_negative_counts_rejected(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            evalkit.gen_pairs(tiny_dataset(), **kwargs)
+
+    @pytest.mark.parametrize("n", [7, 3000, 2**31 + 5, 2**32 - 1, 2**32,
+                                   2**32 + 3, 2**40])
+    def test_block_draw_equals_successive_draws(self, n):
+        # gen_pairs relies on numpy drawing the rows of one (k, 2) call
+        # exactly as k successive calls of 2, state included, also after
+        # a choice call has left a buffered half word behind
+        one, many = rng_for(5, T_PAIRS), rng_for(5, T_PAIRS)
+        for rng in (one, many):
+            rng.choice(45, size=7, replace=False)
+        block = one.integers(0, n, (33, 2))
+        rows = np.array([many.integers(0, n, 2) for _ in range(33)])
+        assert np.array_equal(block, rows)
+        assert one.integers(0, n, 5).tolist() == many.integers(0, n, 5).tolist()
+        assert one.bit_generator.state == many.bit_generator.state
 
 
 class TestFmrThreshold:
@@ -230,14 +346,14 @@ def hand_erc_inputs():
     """Six pairs: 4 mated sims [0.9, 0.8, 0.3, 0.2], 2 non-mated
     [0.4, 0.6] calibrating the threshold to exactly 0.5 at fmr=0.5.
     Sample scores rank the 0.2-sim pair's quality lowest."""
-    pairs = [
-        VerificationPair(0, 1, True),    # sim 0.9
-        VerificationPair(2, 3, True),    # sim 0.8
-        VerificationPair(4, 5, True),    # sim 0.3
-        VerificationPair(6, 7, True),    # sim 0.2  <- unique lowest quality
-        VerificationPair(0, 2, False),   # sim 0.4
-        VerificationPair(1, 4, False),   # sim 0.6
-    ]
+    pairs = pair_set([
+        (0, 1, True),    # sim 0.9
+        (2, 3, True),    # sim 0.8
+        (4, 5, True),    # sim 0.3
+        (6, 7, True),    # sim 0.2  <- unique lowest quality
+        (0, 2, False),   # sim 0.4
+        (1, 4, False),   # sim 0.6
+    ])
     sims = np.array([0.9, 0.8, 0.3, 0.2, 0.4, 0.6])
     scores = np.array([0.9, 0.95, 0.8, 0.85, 0.7, 0.75, 0.1, 0.2])
     return pairs, sims, scores
@@ -256,13 +372,13 @@ class TestErc:
     def test_reject_zero_equals_plain_fnmr(self):
         pairs, sims, scores = hand_erc_inputs()
         curve = evalkit.erc(pairs, sims, scores, 0.5, grid_step=0.1)
-        mated = np.array([p.genuine for p in pairs])
+        mated = pairs.genuine
         assert curve.points[0, 1] == evalkit.fnmr(sims[mated], curve.threshold)
 
     def test_flat_curve_constant_outcome(self):
         # every mated sim fails: FNMR pinned at 1 across the grid
-        pairs = [VerificationPair(i, i + 1, True) for i in range(0, 8, 2)]
-        pairs += [VerificationPair(0, 2, False), VerificationPair(4, 6, False)]
+        pairs = pair_set([(i, i + 1, True) for i in range(0, 8, 2)]
+                         + [(0, 2, False), (4, 6, False)])
         sims = np.array([0.1, 0.12, 0.11, 0.13, 0.4, 0.6])
         scores = rng_for(0, 82).uniform(0, 1, 8)
         curve = evalkit.erc(pairs, sims, scores, 0.5, grid_step=0.05)
@@ -282,9 +398,59 @@ class TestErc:
         assert curve.auc == evalkit.auc(curve.points)
 
     def test_no_nonmated_pairs_rejected(self):
-        pairs = [VerificationPair(0, 1, True)]
+        pairs = pair_set([(0, 1, True)])
         with pytest.raises(DomainError):
             evalkit.erc(pairs, [0.5], [0.1, 0.2], 0.5)
+
+
+def erc_grid_loop(pairs, sims, scores, threshold, grid_step, max_reject):
+    """The ERC grid loop erc replaced: re-index the survivors and take
+    np.mean of their outcomes at every grid point."""
+    pair_quality = np.minimum(scores[pairs.index_a], scores[pairs.index_b])
+    order = np.lexsort((pairs.index_b, pairs.index_a, pair_quality))
+    points = []
+    n_grid = int(np.floor(max_reject / grid_step + 1e-9))
+    for k in range(n_grid + 1):
+        r = k * grid_step
+        n_drop = int(np.floor(r * len(pairs) + 1e-9))
+        survivors = order[n_drop:]
+        kept_mated = survivors[pairs.genuine[survivors]]
+        if kept_mated.size == 0:
+            break
+        points.append((r, float(np.mean(sims[kept_mated] < threshold))))
+    return np.asarray(points)
+
+
+class TestErcAgainstGridLoop:
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 150), st.integers(2, 12),
+           st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+           st.sampled_from([0.5, 0.95, 0.99]))
+    # r * P just below an integer at some grid points, e.g. 0.58 * 50
+    @example(seed=1, n_pairs=100, levels=5, grid_step=0.01, max_reject=0.95)
+    @settings(max_examples=150, deadline=None)
+    def test_same_points_and_auc(self, seed, n_pairs, levels, grid_step,
+                                 max_reject):
+        rng = rng_for(seed, 89)
+        n = 12
+        a = rng.integers(0, n, n_pairs)
+        b = rng.integers(0, n, n_pairs)
+        genuine = rng.random(n_pairs) < 0.5
+        genuine[:2] = [True, False]
+        pairs = PairSet(index_a=a, index_b=b, genuine=genuine)
+        # few distinct values, so similarities and qualities tie
+        sims = rng.integers(0, levels, n_pairs) / levels
+        scores = rng.integers(0, levels, n) / levels
+        try:
+            curve = evalkit.erc(pairs, sims, scores, 0.3,
+                                grid_step=grid_step, max_reject=max_reject)
+        except UndefinedFnmrError:
+            assert len(erc_grid_loop(pairs, sims, scores, 0.0, grid_step,
+                                     max_reject)) < 2
+            return
+        want = erc_grid_loop(pairs, sims, scores, curve.threshold,
+                             grid_step, max_reject)
+        assert np.array_equal(curve.points, want)
+        assert curve.auc == evalkit.auc(want)
 
 
 class TestOracleVariance:

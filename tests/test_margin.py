@@ -51,19 +51,30 @@ class TestCosines:
             margin.cosines(bank, unit_rows(rng_for(0, 32), 2, 6))
 
 
+def ccs_nnccs(cos_row, label):
+    """Own-class cosine and the maximum cosine over the other classes, one
+    row at a time: the oracle for margin.ccs_nnccs_batch."""
+    row = np.asarray(cos_row)
+    if row.shape[0] < 2:
+        raise DomainError("NNCCS is undefined with fewer than 2 classes")
+    ccs = row[label]
+    nnccs = max(row[j] for j in range(row.shape[0]) if j != label)
+    return float(ccs), float(nnccs)
+
+
 class TestCcsNnccs:
     def test_direct_selection(self):
-        assert margin.ccs_nnccs([0.9, 0.1, -0.3], 0) == (0.9, 0.1)
+        assert ccs_nnccs([0.9, 0.1, -0.3], 0) == (0.9, 0.1)
 
     def test_tie_case(self):
-        assert margin.ccs_nnccs([0.2, 0.2], 1) == (0.2, 0.2)
+        assert ccs_nnccs([0.2, 0.2], 1) == (0.2, 0.2)
 
     def test_all_equal_row(self):
-        assert margin.ccs_nnccs([0.4, 0.4, 0.4], 2) == (0.4, 0.4)
+        assert ccs_nnccs([0.4, 0.4, 0.4], 2) == (0.4, 0.4)
 
     def test_single_class_undefined(self):
         with pytest.raises(DomainError):
-            margin.ccs_nnccs([0.5], 0)
+            ccs_nnccs([0.5], 0)
 
     def test_batch_matches_scalar(self):
         rng = rng_for(0, 33)
@@ -71,7 +82,7 @@ class TestCcsNnccs:
         labels = rng.integers(0, 5, 10)
         ccs, nnccs = margin.ccs_nnccs_batch(cos, labels)
         for i in range(10):
-            c, n = margin.ccs_nnccs(cos[i], int(labels[i]))
+            c, n = ccs_nnccs(cos[i], int(labels[i]))
             assert ccs[i] == c and nnccs[i] == n
 
 

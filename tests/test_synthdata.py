@@ -306,6 +306,54 @@ class TestRandomErase:
         assert np.all(block == 0.0)
 
 
+def erase_rect_numpy_scalars(img, rng, lo_frac, hi_frac):
+    """_erase_rect as it was, with numpy's scalar ceil, floor, sqrt and
+    clip: the oracle for its int and math arithmetic."""
+    side = img.shape[0]
+    total = side * side
+    lo_px = max(1, int(np.ceil(lo_frac * total)))
+    hi_px = int(np.floor(hi_frac * total))
+    if hi_px < 1:
+        return img.copy()
+    lo_px = min(lo_px, hi_px)
+    area = rng.uniform(lo_frac, hi_frac) * total
+    aspect = rng.uniform(0.5, 2.0)
+    h_lo = max(1, int(np.ceil(lo_px / side)))
+    h_hi = min(side, hi_px)
+    h = int(np.clip(int(round(np.sqrt(area * aspect))), h_lo, max(h_lo, h_hi)))
+    w_lo = max(1, int(np.ceil(lo_px / h)))
+    w_hi = min(side, hi_px // h)
+    w = int(np.clip(int(round(area / h)), w_lo, max(w_lo, w_hi)))
+    top = int(rng.integers(0, side - h + 1))
+    left = int(rng.integers(0, side - w + 1))
+    out = img.copy()
+    out[top:top + h, left:left + w] = 0.0
+    return out
+
+
+class TestEraseRectArithmetic:
+    @given(st.integers(4, 40), st.sampled_from(["erase", "degrade", "any"]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_same_rectangle_as_numpy_scalars(self, side, kind, u, v, seed):
+        if kind == "erase":
+            lo, hi = synthdata.ERASE_AREA_LO, synthdata.ERASE_AREA_HI
+        elif kind == "degrade":
+            # degrade's level-proportional range, level in (0, 1]
+            level = max(u, 1e-6)
+            lo = 0.5 * synthdata._DEG_ERASE_MAX * level
+            hi = synthdata._DEG_ERASE_MAX * level
+        else:
+            lo, hi = min(u, v), max(u, v)
+        img = np.ones((side, side), dtype=np.float32)
+        got_rng, want_rng = rng_for(seed, 90), rng_for(seed, 90)
+        got = synthdata._erase_rect(img, got_rng, lo, hi)
+        want = erase_rect_numpy_scalars(img, want_rng, lo, hi)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestColorJitter:
     def test_identity_params(self):
         img = rng_for(0, 7).uniform(0, 1, (16, 16))
