@@ -45,17 +45,6 @@ class MlpBackbone:
 
 
 @dataclass
-class GradBuffer:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def as_dict(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-
-@dataclass
 class ForwardCache:
     x: np.ndarray
     pre_hidden: np.ndarray
@@ -112,8 +101,9 @@ def forward(model, batch):
 
 def backward(model, cache, grad_wrt_embeddings):
     """Backpropagate a gradient on the unit-norm embeddings to all
-    parameters.  The radial component of the gradient is removed per
-    sample before entering the linear layers.
+    parameters, keyed like ``MlpBackbone.params()``.  The radial
+    component of the gradient is removed per sample before entering the
+    linear layers.
     """
     if cache.model is not model:
         raise StaleCacheError("cache was produced by a different model")
@@ -131,7 +121,7 @@ def backward(model, cache, grad_wrt_embeddings):
     d_pre_hidden = d_hidden * (cache.pre_hidden > 0)
     gw1 = cache.x.T @ d_pre_hidden
     gb1 = d_pre_hidden.sum(axis=0)
-    return GradBuffer(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
 
 @dataclass
@@ -162,7 +152,7 @@ def grad_check(model, loss_fn, batch, tol=1e-4, step=1e-4, n_samples=60,
         rng = rng_for(0, T_GRADCHECK, 1)
     emb, cache = forward(model, batch)
     _, g_emb = loss_fn(emb)
-    analytic = backward(model, cache, g_emb).as_dict()
+    analytic = backward(model, cache, g_emb)
 
     def total_loss():
         e, _ = forward(model, batch)

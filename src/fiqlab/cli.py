@@ -234,7 +234,19 @@ def cmd_oracle_check(args, argv):
                              rng=rng_for(cfg.seed, 900), dtype=np.float32)
     tracker = variance.init_tracker(dataset.num_classes, total_steps=1000)
     report = evalkit.tracker_cost_probe(dataset, model, tracker)
-    var = report.naive_var
+    worst = _oracle_cross_check(dataset, model, report.naive_var)
+    print(f"ema step cost   : {report.ema_step_cost * 1e3:.3f} ms")
+    print(f"naive step cost : {report.naive_step_cost * 1e3:.3f} ms")
+    print(f"cost ratio      : {report.ratio:.1f}x")
+    print(f"oracle cross-check max abs diff: {worst:.3e}")
+    ok = report.ratio >= 10.0 and worst < 1e-10
+    print("oracle-check:", "PASS" if ok else "FAIL")
+    return EXIT_OK if ok else EXIT_NUMERIC
+
+
+def _oracle_cross_check(dataset, model, var):
+    """Largest gap between ``var`` and each class's variance recomputed
+    as mean ||e||^2 - ||mean e||^2 in float64."""
     emb = evalkit.embed_dataset(model, dataset.images)
     labels = dataset.labels.astype(np.int64)
     worst = 0.0
@@ -243,13 +255,7 @@ def cmd_oracle_check(args, argv):
         alt = float(np.mean(np.sum(rows * rows, axis=1))
                     - np.sum(rows.mean(axis=0) ** 2))
         worst = max(worst, abs(alt - var[c]))
-    print(f"ema step cost   : {report.ema_step_cost * 1e3:.3f} ms")
-    print(f"naive step cost : {report.naive_step_cost * 1e3:.3f} ms")
-    print(f"cost ratio      : {report.ratio:.1f}x")
-    print(f"oracle cross-check max abs diff: {worst:.3e}")
-    ok = report.ratio >= 10.0 and worst < 1e-10
-    print("oracle-check:", "PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_NUMERIC
+    return worst
 
 
 def _grad_checks():
@@ -337,15 +343,7 @@ def _selfchecks():
     ds = synthdata.gen_dataset(cfg)
     model = bb.init_backbone(144, hidden_dim=24, embed_dim=12,
                              rng=rng_for(3, 902))
-    var = evalkit.oracle_variance(ds, model)
-    emb = evalkit.embed_dataset(model, ds.images)
-    labels = ds.labels.astype(np.int64)
-    worst = 0.0
-    for c in range(5):
-        rows = emb[labels == c]
-        alt = float(np.mean(np.sum(rows * rows, axis=1))
-                    - np.sum(rows.mean(axis=0) ** 2))
-        worst = max(worst, abs(alt - var[c]))
+    worst = _oracle_cross_check(ds, model, evalkit.oracle_variance(ds, model))
     checks.append(("oracle variance cross-check", worst, 1e-10))
 
     # the vectorised flip coins restate numpy's SeedSequence and PCG64;

@@ -17,7 +17,8 @@ from .errors import DomainError, StructuralError
 @dataclass
 class RegressionHead:
     weight: np.ndarray
-    bias: float | None = None
+    # None, or a (1,) array of the weight's dtype, updated in place
+    bias: np.ndarray | None = None
     beta: float = 1.0
 
     def __post_init__(self):
@@ -31,7 +32,8 @@ class RegressionHead:
 
 def init_head(embed_dim, with_bias=False, beta=1.0, dtype=np.float64):
     return RegressionHead(weight=np.zeros(embed_dim, dtype=dtype),
-                          bias=dtype(0.0) if with_bias else None, beta=beta)
+                          bias=np.zeros(1, dtype=dtype) if with_bias else None,
+                          beta=beta)
 
 
 def predict(head, emb):

@@ -171,10 +171,13 @@ class TrainState:
     epoch_logs: list = field(default_factory=list)
     last_step: StepInfo = None
 
-    def trainable(self):
-        params = {"w1": self.model.w1, "b1": self.model.b1,
-                  "w2": self.model.w2, "b2": self.model.b2,
-                  "bank_w": self.bank.weights, "head_w": self.head.weight}
+    def params(self):
+        """Every trained array by name, in checkpoint order."""
+        params = self.model.params()
+        params["bank_w"] = self.bank.weights
+        params["head_w"] = self.head.weight
+        if self.head.bias is not None:
+            params["head_b"] = self.head.bias
         return params
 
 
@@ -197,12 +200,10 @@ def init_train_state(config, dataset):
                                     alpha_start=config.alpha_start,
                                     alpha_end=config.alpha_end,
                                     dtype=np.float32)
-    momentum = {name: np.zeros_like(arr) for name, arr in
-                TrainState(model, bank, head, tracker, {}).trainable().items()}
-    if config.head_bias:
-        momentum["head_b"] = np.zeros(1, dtype=np.float32)
-    return TrainState(model=model, bank=bank, head=head, tracker=tracker,
-                      momentum=momentum)
+    state = TrainState(model, bank, head, tracker, momentum={})
+    state.momentum = {name: np.zeros_like(arr)
+                      for name, arr in state.params().items()}
+    return state
 
 
 def sgd_update(param, grad, buffer, lr, momentum, weight_decay):
@@ -219,10 +220,16 @@ def _finite_or_abort(state, l_arc, l_ig):
     if np.isfinite(l_arc) and np.isfinite(l_ig):
         return
     norms = {name: float(np.linalg.norm(arr))
-             for name, arr in state.trainable().items()}
+             for name, arr in state.params().items()}
     raise NumericError(
         f"non-finite loss at epoch {state.epoch} step {state.global_step}: "
         f"l_arc={l_arc}, l_ig={l_ig}, param_norms={norms}")
+
+
+def effective_weights(state, config):
+    if config.use_ig_weights:
+        return variance.weights(state.tracker).w
+    return np.ones_like(state.tracker.v)
 
 
 def train_step(state, config, clean_batch, aug_batch, lr):
@@ -257,40 +264,29 @@ def train_step(state, config, clean_batch, aug_batch, lr):
             np.concatenate([arc.cr.ccs, cr_aug.ccs]))
     variance.update(state.tracker, grouped)
 
-    if config.use_ig_weights:
-        sample_w = variance.weights(state.tracker).w[aug_labels]
-    else:
-        sample_w = np.ones(len(aug_labels), dtype=state.tracker.v.dtype)
-
+    sample_w = effective_weights(state, config)[aug_labels]
     reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
                                            sample_w,
                                            reduction=config.lig_reduction)
     _finite_or_abort(state, arc.loss, reg.loss)
 
-    grads_backbone = bb.backward(state.model, cache_clean, arc.grad_emb)
+    grads = bb.backward(state.model, cache_clean, arc.grad_emb)
     if config.propagate_lig_to_backbone and config.lam > 0.0:
         extra = bb.backward(state.model, cache_aug,
                             config.lam * reg.grad_emb)
-        for name, arr in extra.as_dict().items():
-            grads_backbone.as_dict()[name] += arr
-
-    grads = dict(grads_backbone.as_dict())
+        for name, arr in extra.items():
+            grads[name] += arr
     grads["bank_w"] = arc.grad_bank
     grads["head_w"] = config.lam * reg.grad_weight
+    if reg.grad_bias is not None:
+        # float64 product, rounded once to float32 by the astype below
+        grads["head_b"] = np.array([config.lam * reg.grad_bias])
 
-    params = state.trainable()
-    for name in params:
-        wd = (config.head_weight_decay if name == "head_w"
+    for name, param in state.params().items():
+        wd = (config.head_weight_decay if name.startswith("head_")
               else config.weight_decay)
-        sgd_update(params[name], grads[name].astype(params[name].dtype,
-                                                    copy=False),
+        sgd_update(param, grads[name].astype(param.dtype, copy=False),
                    state.momentum[name], lr, config.momentum, wd)
-    if config.head_bias:
-        gb = np.array([config.lam * reg.grad_bias], dtype=np.float32)
-        bias = np.array([state.head.bias], dtype=np.float32)
-        sgd_update(bias, gb, state.momentum["head_b"], lr, config.momentum,
-                   config.head_weight_decay)
-        state.head.bias = np.float32(bias[0])
 
     state.global_step += 1
     state.last_step = StepInfo(l_arc=arc.loss, l_ig=reg.loss,
@@ -328,12 +324,6 @@ def _tracked_ccs(state, dataset, tracked_idx):
     cos = margin.cosines(state.bank, emb)
     labels = np.asarray(dataset.labels, dtype=np.int64)[tracked_idx]
     return cos[np.arange(len(tracked_idx)), labels]
-
-
-def effective_weights(state, config):
-    if config.use_ig_weights:
-        return variance.weights(state.tracker).w
-    return np.ones_like(state.tracker.v)
 
 
 def run_training(config, dataset, state=None, checkpoint_dir=None):
@@ -430,7 +420,7 @@ def _write_array(fh, arr):
 
 
 def _read_array(fh, shape, what):
-    count = int(np.prod(shape)) if shape else 1
+    count = int(np.prod(shape))
     raw = fh.read(count * 4)
     if len(raw) != count * 4:
         raise FormatError(f"truncated checkpoint while reading {what}",
@@ -438,16 +428,14 @@ def _read_array(fh, shape, what):
     return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
 
-def _param_order(state):
-    names = ["w1", "b1", "w2", "b2", "bank_w", "head_w"]
-    if state.head.bias is not None:
-        names.append("head_b")
-    return names
-
-
 def checkpoint_save(state, path):
     """Serialize all parameters, momentum buffers, tracker state, and
     counters.  Round trip is bit-identical because the state is float32.
+
+    Layout v1: the header (see ``checkpoint_load``), then as float32 the
+    arrays of ``state.params()`` in order, ``tracker.v``, and the
+    momentum buffers in the same order.  It is frozen: the benchmark's
+    output checks parse it themselves and accept only version 1.
     """
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -465,14 +453,9 @@ def checkpoint_save(state, path):
         fh.write(struct.pack("<ddddd", state.bank.scale, state.bank.margin,
                              state.head.beta, state.tracker.alpha_start,
                              state.tracker.alpha_end))
-        arrays = [state.model.w1, state.model.b1, state.model.w2,
-                  state.model.b2, state.bank.weights, state.head.weight]
-        if state.head.bias is not None:
-            arrays.append(np.array([state.head.bias]))
-        arrays.append(state.tracker.v)
-        for name in _param_order(state):
-            arrays.append(state.momentum[name])
-        for arr in arrays:
+        params = state.params()
+        for arr in [*params.values(), state.tracker.v,
+                    *(state.momentum[name] for name in params)]:
             _write_array(fh, arr)
 
 
@@ -489,33 +472,28 @@ def checkpoint_load(path):
          beta, a_start, a_end) = struct.unpack("<IIIIIBIIQIIddddd", header)
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        model = bb.MlpBackbone(
-            w1=_read_array(fh, (input_dim, hidden_dim), "w1"),
-            b1=_read_array(fh, (hidden_dim,), "b1"),
-            w2=_read_array(fh, (hidden_dim, embed_dim), "w2"),
-            b2=_read_array(fh, (embed_dim,), "b2"))
-        bank = margin.PrototypeBank(
-            weights=_read_array(fh, (embed_dim, num_classes), "bank"),
-            scale=float(scale), margin=float(marg))
-        head_w = _read_array(fh, (embed_dim,), "head weight")
-        bias = None
+        shapes = {"w1": (input_dim, hidden_dim), "b1": (hidden_dim,),
+                  "w2": (hidden_dim, embed_dim), "b2": (embed_dim,),
+                  "bank_w": (embed_dim, num_classes), "head_w": (embed_dim,)}
         if has_bias:
-            bias = np.float32(_read_array(fh, (1,), "head bias")[0])
-        head = quality.RegressionHead(weight=head_w, bias=bias,
-                                      beta=float(beta))
-        tracker = variance.VarianceTracker(
-            v=_read_array(fh, (num_classes,), "tracker v"),
-            step=t_step, total_steps=t_total,
-            alpha_start=float(a_start), alpha_end=float(a_end))
-        state = TrainState(model=model, bank=bank, head=head, tracker=tracker,
-                           momentum={}, epoch=epoch,
-                           step_in_epoch=step_in_epoch,
-                           global_step=global_step)
-        for name in _param_order(state):
-            shape = ((1,) if name == "head_b"
-                     else state.trainable()[name].shape)
-            state.momentum[name] = _read_array(fh, shape, f"momentum {name}")
+            shapes["head_b"] = (1,)
+        params = {name: _read_array(fh, shape, name)
+                  for name, shape in shapes.items()}
+        v = _read_array(fh, (num_classes,), "tracker v")
+        momentum = {name: _read_array(fh, shape, f"momentum {name}")
+                    for name, shape in shapes.items()}
         if fh.read(1):
             raise FormatError("unexpected trailing bytes in checkpoint",
                               offset=fh.tell() - 1)
-    return state
+    model = bb.MlpBackbone(params["w1"], params["b1"], params["w2"],
+                           params["b2"])
+    bank = margin.PrototypeBank(weights=params["bank_w"], scale=float(scale),
+                                margin=float(marg))
+    head = quality.RegressionHead(weight=params["head_w"],
+                                  bias=params.get("head_b"), beta=float(beta))
+    tracker = variance.VarianceTracker(
+        v=v, step=t_step, total_steps=t_total,
+        alpha_start=float(a_start), alpha_end=float(a_end))
+    return TrainState(model=model, bank=bank, head=head, tracker=tracker,
+                      momentum=momentum, epoch=epoch,
+                      step_in_epoch=step_in_epoch, global_step=global_step)

@@ -54,7 +54,7 @@ class TestBackward:
     def test_zero_gradient_in_zero_out(self, model, batch):
         emb, cache = bb.forward(model, batch)
         grads = bb.backward(model, cache, np.zeros_like(emb))
-        for arr in grads.as_dict().values():
+        for arr in grads.values():
             assert np.all(arr == 0.0)
 
     def test_linearity(self, model, batch):
@@ -68,13 +68,13 @@ class TestBackward:
         r2 = bb.backward(model, cache, g2)
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_allclose(
-                lhs.as_dict()[name],
-                a * r1.as_dict()[name] + b * r2.as_dict()[name], atol=1e-10)
+                lhs[name],
+                a * r1[name] + b * r2[name], atol=1e-10)
 
     def test_radial_gradient_annihilated(self, model, batch):
         emb, cache = bb.forward(model, batch)
         grads = bb.backward(model, cache, emb.copy())
-        for arr in grads.as_dict().values():
+        for arr in grads.values():
             np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
     def test_stale_cache_rejected(self, model, batch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fiqlab import backbone as bb
-from fiqlab import margin, synthdata, trainer
+from fiqlab import margin, quality, synthdata, trainer, variance
 from fiqlab.errors import ConfigError, FormatError, NumericError
 from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for
 
@@ -157,17 +157,17 @@ class TestTrainStep:
                                                flips(cfg, 0, dataset))
             emb, cache = bb.forward(ref.model, imgs)
             arc = margin.arcface_loss(ref.bank, emb, labels)
-            grads = bb.backward(ref.model, cache, arc.grad_emb).as_dict()
+            grads = bb.backward(ref.model, cache, arc.grad_emb)
             grads["bank_w"] = arc.grad_bank
-            params = ref.trainable()
+            params = ref.params()
             for name in ("w1", "b1", "w2", "b2", "bank_w"):
                 trainer.sgd_update(params[name],
                                    grads[name].astype(np.float32),
                                    ref.momentum[name], cfg.lr, cfg.momentum,
                                    cfg.weight_decay)
         for name in ("w1", "b1", "w2", "b2", "bank_w"):
-            assert np.array_equal(state.trainable()[name],
-                                  ref.trainable()[name]), name
+            assert np.array_equal(state.params()[name],
+                                  ref.params()[name]), name
 
     def test_zero_weights_leave_head_unchanged(self, dataset):
         cfg = tiny_config()
@@ -191,8 +191,8 @@ class TestTrainStep:
         cfg = tiny_config()
         a = run_steps(cfg, dataset, 3)
         b = run_steps(cfg, dataset, 3)
-        for name, arr in a.trainable().items():
-            assert np.array_equal(arr, b.trainable()[name]), name
+        for name, arr in a.params().items():
+            assert np.array_equal(arr, b.params()[name]), name
         assert np.array_equal(a.tracker.v, b.tracker.v)
 
     def test_backbone_depends_only_on_clean_half(self, dataset):
@@ -204,8 +204,8 @@ class TestTrainStep:
             flips(other_cfg, 1, dataset))
         state_b = run_steps(cfg, dataset, 2, aug_override=other)
         for name in ("w1", "b1", "w2", "b2", "bank_w"):
-            assert np.array_equal(state_a.trainable()[name],
-                                  state_b.trainable()[name]), name
+            assert np.array_equal(state_a.params()[name],
+                                  state_b.params()[name]), name
         # the head does see the augmented half
         assert not np.array_equal(state_a.head.weight, state_b.head.weight)
 
@@ -238,6 +238,88 @@ class TestTrainStep:
                                     flips(cfg, 0, dataset))
         with pytest.raises(NumericError):
             trainer.train_step(state, cfg, clean, clean, cfg.lr)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_abort_report_names_head_bias(self, dataset):
+        cfg = tiny_config(head_bias=True)
+        state = trainer.init_train_state(cfg, dataset)
+        state.model.w1[:] = np.inf
+        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
+                                    flips(cfg, 0, dataset))
+        with pytest.raises(NumericError, match="'head_b': 0.0"):
+            trainer.train_step(state, cfg, clean, clean, cfg.lr)
+
+
+def scalar_bias_train_step(state, config, clean_batch, aug_batch, lr):
+    """The train step with a scalar head bias, as it was before the
+    parameter table, for the clean tracker source: the bias gradient is
+    ``lam * grad_bias`` in float64 rounded once to float32, and the bias
+    goes through a one-element array and back to a float32 scalar."""
+    (clean_imgs, clean_labels), (aug_imgs, aug_labels) = clean_batch, aug_batch
+    emb_clean, cache_clean = bb.forward(state.model, clean_imgs)
+    arc = margin.arcface_loss(state.bank, emb_clean, clean_labels)
+    if config.split_batch:
+        emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
+        cr_aug = margin.cr_batch(margin.cosines(state.bank, emb_aug),
+                                 aug_labels)
+    else:
+        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
+    variance.update(state.tracker,
+                    variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
+    if config.use_ig_weights:
+        sample_w = variance.weights(state.tracker).w[aug_labels]
+    else:
+        sample_w = np.ones(len(aug_labels), dtype=np.float32)
+    reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
+                                           sample_w,
+                                           reduction=config.lig_reduction)
+    grads = bb.backward(state.model, cache_clean, arc.grad_emb)
+    if config.propagate_lig_to_backbone:
+        extra = bb.backward(state.model, cache_aug, config.lam * reg.grad_emb)
+        for name in grads:
+            grads[name] += extra[name]
+    grads["bank_w"] = arc.grad_bank
+    grads["head_w"] = config.lam * reg.grad_weight
+    params = dict(state.model.params(), bank_w=state.bank.weights,
+                  head_w=state.head.weight)
+    for name, param in params.items():
+        wd = (config.head_weight_decay if name == "head_w"
+              else config.weight_decay)
+        trainer.sgd_update(param, grads[name].astype(np.float32),
+                           state.momentum[name], lr, config.momentum, wd)
+    gb = np.array([config.lam * reg.grad_bias], dtype=np.float32)
+    bias = np.array([np.float32(state.head.bias[0])], dtype=np.float32)
+    trainer.sgd_update(bias, gb, state.momentum["head_b"], lr,
+                       config.momentum, config.head_weight_decay)
+    state.head.bias[0] = np.float32(bias[0])
+    state.global_step += 1
+    state.last_step = trainer.StepInfo(
+        l_arc=arc.loss, l_ig=reg.loss, cr_targets=cr_aug.cr,
+        sample_weights=sample_w, ccs_clean=arc.cr.ccs)
+
+
+class TestHeadBias:
+    @pytest.mark.parametrize("variant", ["ig", "cr-aug"])
+    @pytest.mark.parametrize("propagate", [False, True])
+    def test_same_bytes_as_scalar_bias_step(self, dataset, tmp_path,
+                                            monkeypatch, variant, propagate):
+        cfg = trainer.apply_variant(
+            tiny_config(epochs=3, head_bias=True, lam=0.3,
+                        head_weight_decay=1e-3,
+                        propagate_lig_to_backbone=propagate), variant)
+        outputs = {}
+        for step in ("table", "scalar"):
+            if step == "scalar":
+                monkeypatch.setattr(trainer, "train_step",
+                                    scalar_bias_train_step)
+            out = tmp_path / step
+            out.mkdir()
+            state, _ = trainer.run_training(cfg, dataset, checkpoint_dir=out)
+            assert state.head.bias[0] != 0.0
+            outputs[step] = {p.name: p.read_bytes()
+                             for p in sorted(out.iterdir())}
+        assert len(outputs["table"]) == 2
+        assert outputs["table"] == outputs["scalar"]
 
 
 class TestUnsplitStep:
@@ -378,8 +460,8 @@ class TestRunTraining:
         cfg = tiny_config(epochs=2)
         s1, _ = trainer.run_training(cfg, dataset)
         s2, _ = trainer.run_training(cfg, dataset)
-        for name, arr in s1.trainable().items():
-            assert np.array_equal(arr, s2.trainable()[name])
+        for name, arr in s1.params().items():
+            assert np.array_equal(arr, s2.params()[name])
         assert np.array_equal(s1.tracker.v, s2.tracker.v)
 
     def test_report_csv_columns(self, dataset, tmp_path):
@@ -444,18 +526,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             trainer.checkpoint_load(path)
 
-    def test_resume_equals_uninterrupted(self, dataset, tmp_path):
+    @pytest.mark.parametrize("head_bias", [False, True])
+    def test_resume_equals_uninterrupted(self, dataset, tmp_path, head_bias):
         # milestone checkpoints carry the full schedule, so resuming one
         # must replay the identical stream
-        cfg = tiny_config(epochs=3, lr_milestones=(1,))
+        cfg = tiny_config(epochs=3, lr_milestones=(1,), head_bias=head_bias)
         full, _ = trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
         resumed = trainer.checkpoint_load(tmp_path / "ckpt_epoch0001.bin")
         assert resumed.epoch == 2
         final, _ = trainer.run_training(cfg, dataset, state=resumed)
-        for name, arr in full.trainable().items():
-            assert np.array_equal(arr, final.trainable()[name]), name
+        for name, arr in full.params().items():
+            assert np.array_equal(arr, final.params()[name]), name
         assert np.array_equal(full.tracker.v, final.tracker.v)
         assert full.global_step == final.global_step
+        trainer.checkpoint_save(full, tmp_path / "full.bin")
+        trainer.checkpoint_save(final, tmp_path / "final.bin")
+        assert ((tmp_path / "full.bin").read_bytes()
+                == (tmp_path / "final.bin").read_bytes())
 
     def test_milestone_checkpoints_written(self, dataset, tmp_path):
         cfg = tiny_config(epochs=5, lr_milestones=(3,))
