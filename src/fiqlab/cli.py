@@ -79,7 +79,6 @@ def cmd_synth(args, argv):
     cfg = build_config(synthdata.SynthConfig, args.config,
                        required=("num_classes", "samples_per_class"),
                        overrides=overrides)
-    cfg.validate()
     dataset = synthdata.gen_dataset(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -95,9 +94,8 @@ def cmd_synth(args, argv):
 def cmd_train(args, argv):
     started = time.time()
     overrides = {"seed": args.seed}
-    cfg = trainer.parse_train_config(args.config, overrides=overrides)
+    cfg = build_config(trainer.TrainConfig, args.config, overrides=overrides)
     cfg = trainer.apply_variant(cfg, args.variant)
-    cfg.validate()
     dataset = synthdata.load_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

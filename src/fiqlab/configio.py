@@ -50,23 +50,17 @@ def _convert(key, text, target_type, lineno, path):
     raise ConfigError(f"{path}:{lineno}: unsupported type for key {key}")
 
 
-def build_config(cls, path, required=(), overrides=None, field_types=None):
-    """Instantiate dataclass ``cls`` from a key=value file.
-
-    ``field_types`` overrides the parse type per key (needed for
-    optional fields whose annotation is not a plain type).  ``overrides``
-    are applied after the file (CLI flags beat file values).
+def build_config(cls, path, required=(), overrides=None):
+    """Instantiate dataclass ``cls`` from a key=value file; each value
+    is parsed as its field's annotated type.  ``overrides`` are applied
+    after the file (CLI flags beat file values).
     """
-    names = {f.name: f for f in dataclasses.fields(cls)}
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     values = {}
     for lineno, key, text in read_kv_file(path):
-        if key not in names:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        ftype = (field_types or {}).get(key, names[key].type)
-        if isinstance(ftype, str):
-            ftype = {"int": int, "float": float, "bool": bool,
-                     "str": str, "tuple": tuple}.get(ftype, str)
-        values[key] = _convert(key, text, ftype, lineno, path)
+        values[key] = _convert(key, text, types[key], lineno, path)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     for key in required:

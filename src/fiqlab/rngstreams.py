@@ -31,9 +31,13 @@ def rng_for(seed, *path):
     """Return a fresh Generator for (seed, *path).
 
     Same arguments always produce the same stream; distinct paths give
-    statistically independent streams.  Every value is reduced modulo
-    2**32; a uint32 entropy array seeds the same stream as the list of
-    those values, at half the cost of coercing the list.
+    statistically independent streams, except that SeedSequence zero-pads
+    its 4-word pool: paths equal up to trailing zeros within the first 4
+    words (seed included) are one stream, so ``rng_for(5, 4)``,
+    ``rng_for(5, 4, 0)`` and ``rng_for(5, 4, 0, 0)`` collide.  Every
+    value is reduced modulo 2**32; a uint32 entropy array seeds the same
+    stream as the list of those values, at half the cost of coercing the
+    list.
     """
     entropy = np.array([int(seed) & 0xFFFFFFFF]
                        + [int(p) & 0xFFFFFFFF for p in path], dtype=np.uint32)

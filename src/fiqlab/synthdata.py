@@ -86,7 +86,7 @@ class SynthConfig:
     degrade_fraction: float = 0.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.samples_per_class < 2:
@@ -343,7 +343,6 @@ def gen_dataset(cfg):
     below ``degrade_fraction`` builds the stream for its level and
     operator draws.
     """
-    cfg.validate()
     c_total, n, side = cfg.num_classes, cfg.samples_per_class, cfg.side
     seed = cfg.seed
 

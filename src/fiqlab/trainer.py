@@ -17,6 +17,8 @@ exact stream of an uninterrupted one.
 """
 
 import dataclasses
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from . import backbone as bb
 from . import margin, quality, variance
-from .configio import build_config
 from .errors import (
     ConfigError,
     FormatError,
@@ -47,9 +48,6 @@ from . import evalkit
 CKPT_MAGIC = b"IGFQCKPT"
 CKPT_VERSION = 1
 
-VARIANTS = ("ig", "cr", "ig-noaug", "cr-aug")
-TRACKER_SOURCES = ("clean", "augmented", "both")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -64,7 +62,6 @@ class TrainConfig:
     augment_p: float = 0.3
     seed: int = 0
     propagate_lig_to_backbone: bool = False
-    tracker_source: str = "clean"
     beta: float = 1.0
     scale: float = 64.0
     margin: float = 0.5
@@ -77,7 +74,7 @@ class TrainConfig:
     alpha_start: float = 0.9
     alpha_end: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ConfigError("batch_size must be an even number >= 2")
         if self.lam < 0.0:
@@ -86,8 +83,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if not 0.0 <= self.augment_p <= 1.0:
             raise ConfigError("augment_p must lie in [0, 1]")
-        if self.tracker_source not in TRACKER_SOURCES:
-            raise ConfigError(f"tracker_source must be one of {TRACKER_SOURCES}")
         if self.lig_reduction not in ("sum", "mean"):
             raise ConfigError("lig_reduction must be 'sum' or 'mean'")
         ms = self.lr_milestones
@@ -110,32 +105,24 @@ class TrainConfig:
         return self.lr * (0.1 ** drops)
 
 
-def parse_train_config(path, overrides=None):
-    return build_config(TrainConfig, path, overrides=overrides,
-                        field_types={"lr_milestones": tuple})
+# Experiment variant -> the config fields it sets.
+#   ig       full method: split batch, weights on, augmentation on
+#   cr       baseline: unsplit, weights forced to 1, no augmentation
+#   ig-noaug split batch, weights on, no augmentation
+#   cr-aug   unsplit, weights forced to 1, augmentation on both halves
+VARIANTS = {
+    "ig": dict(split_batch=True, use_ig_weights=True),
+    "cr": dict(split_batch=False, use_ig_weights=False, augment_p=0.0),
+    "ig-noaug": dict(split_batch=True, use_ig_weights=True, augment_p=0.0),
+    "cr-aug": dict(split_batch=False, use_ig_weights=False),
+}
 
 
 def apply_variant(config, variant):
-    """Map an experiment variant onto config flags.
-
-    ig       full method: split batch, weights on, augmentation on
-    cr       baseline: unsplit, weights forced to 1, no augmentation
-    ig-noaug split batch, weights on, no augmentation
-    cr-aug   unsplit, weights forced to 1, augmentation on both halves
-    """
-    if variant == "ig":
-        return dataclasses.replace(config, split_batch=True,
-                                   use_ig_weights=True)
-    if variant == "cr":
-        return dataclasses.replace(config, split_batch=False,
-                                   use_ig_weights=False, augment_p=0.0)
-    if variant == "ig-noaug":
-        return dataclasses.replace(config, split_batch=True,
-                                   use_ig_weights=True, augment_p=0.0)
-    if variant == "cr-aug":
-        return dataclasses.replace(config, split_batch=False,
-                                   use_ig_weights=False)
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in VARIANTS:
+        raise ConfigError(
+            f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
+    return dataclasses.replace(config, **VARIANTS[variant])
 
 
 @dataclass
@@ -182,7 +169,6 @@ class TrainState:
 
 
 def init_train_state(config, dataset):
-    config.validate()
     steps_per_epoch = dataset.num_samples // config.batch_size
     total_steps = max(1, config.epochs * steps_per_epoch)
     model = bb.init_backbone(dataset.side * dataset.side,
@@ -254,15 +240,8 @@ def train_step(state, config, clean_batch, aug_batch, lr):
     else:
         emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
 
-    if config.tracker_source == "clean":
-        grouped = variance.group_ccs_by_class(clean_labels, arc.cr.ccs)
-    elif config.tracker_source == "augmented":
-        grouped = variance.group_ccs_by_class(aug_labels, cr_aug.ccs)
-    else:
-        grouped = variance.group_ccs_by_class(
-            np.concatenate([clean_labels, aug_labels]),
-            np.concatenate([arc.cr.ccs, cr_aug.ccs]))
-    variance.update(state.tracker, grouped)
+    variance.update(state.tracker,
+                    variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
 
     sample_w = effective_weights(state, config)[aug_labels]
     reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
@@ -337,7 +316,6 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
     Checkpoints are written at milestone epochs and at the end when
     ``checkpoint_dir`` is given.
     """
-    config.validate()
     if state is None:
         state = init_train_state(config, dataset)
     n = dataset.num_samples
@@ -419,12 +397,8 @@ def _write_array(fh, arr):
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_array(fh, shape, what):
-    count = int(np.prod(shape))
-    raw = fh.read(count * 4)
-    if len(raw) != count * 4:
-        raise FormatError(f"truncated checkpoint while reading {what}",
-                          offset=fh.tell())
+def _read_array(fh, shape):
+    raw = fh.read(math.prod(shape) * 4)
     return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
 
@@ -477,14 +451,19 @@ def checkpoint_load(path):
                   "bank_w": (embed_dim, num_classes), "head_w": (embed_dim,)}
         if has_bias:
             shapes["head_b"] = (1,)
-        params = {name: _read_array(fh, shape, name)
+        # Python ints: a product of u32 dimensions cannot wrap
+        declared = fh.tell() + 4 * (
+            2 * sum(math.prod(shape) for shape in shapes.values())
+            + num_classes)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != declared:
+            raise FormatError(f"checkpoint is {actual} bytes but its header "
+                              f"declares {declared}")
+        params = {name: _read_array(fh, shape)
                   for name, shape in shapes.items()}
-        v = _read_array(fh, (num_classes,), "tracker v")
-        momentum = {name: _read_array(fh, shape, f"momentum {name}")
+        v = _read_array(fh, (num_classes,))
+        momentum = {name: _read_array(fh, shape)
                     for name, shape in shapes.items()}
-        if fh.read(1):
-            raise FormatError("unexpected trailing bytes in checkpoint",
-                              offset=fh.tell() - 1)
     model = bb.MlpBackbone(params["w1"], params["b1"], params["w2"],
                            params["b2"])
     bank = margin.PrototypeBank(weights=params["bank_w"], scale=float(scale),

@@ -259,6 +259,21 @@ class TestReport:
         assert lines[0] == "class_id,v,weight"
         assert len(lines) == 1 + 6
 
+    def test_header_dims_beyond_file_size_exit_2(self, trained, capsys):
+        workspace, _, out_dir = trained
+        raw = bytearray((out_dir / "checkpoint.bin").read_bytes())
+        # input_dim and hidden_dim follow the 8-byte magic and u32 version;
+        # their product wraps around int64
+        raw[12:20] = b"\xff" * 8
+        bad = workspace / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        code = run(["report", "--checkpoint", bad,
+                    "--out", workspace / "w.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "header declares" in err
+        assert "Traceback" not in err
+
 
 class TestSelfcheck:
     def test_passes_on_fresh_build(self, capsys):

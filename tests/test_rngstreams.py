@@ -34,6 +34,14 @@ class TestRngFor:
     def test_distinct_paths_distinct_streams(self):
         assert rng_for(1, 2, 3).bytes(16) != rng_for(1, 3, 2).bytes(16)
 
+    def test_trailing_zeros_within_pool_collide(self):
+        # SeedSequence zero-pads its 4-word pool: the documented exception
+        first = rng_for(5, 4).random()
+        assert first == 0.27833169435963245
+        assert rng_for(5, 4, 0).random() == first
+        assert rng_for(5, 4, 0, 0).random() == first
+        assert rng_for(5, 4, 0, 0, 0).random() != first
+
 
 class TestFirstRandom:
     @given(WIDE_INT, WIDE_INT, WIDE_INT, st.lists(WIDE_INT, max_size=40))

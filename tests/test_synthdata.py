@@ -46,7 +46,7 @@ class TestConfig:
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ConfigError):
-            small_cfg(**kw).validate()
+            small_cfg(**kw)
 
 
 class TestGenDataset:

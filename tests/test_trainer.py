@@ -5,6 +5,7 @@ import pytest
 
 from fiqlab import backbone as bb
 from fiqlab import margin, quality, synthdata, trainer, variance
+from fiqlab.configio import build_config
 from fiqlab.errors import ConfigError, FormatError, NumericError
 from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for
 
@@ -31,7 +32,6 @@ class TestConfig:
         {"lam": -1.0},
         {"epochs": -2},
         {"augment_p": 1.5},
-        {"tracker_source": "nowhere"},
         {"lig_reduction": "median"},
         {"lr_milestones": (3, 2)},
         {"lr_milestones": (0, 1)},
@@ -39,7 +39,7 @@ class TestConfig:
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
-            tiny_config(**kw).validate()
+            tiny_config(**kw)
 
     def test_auto_milestones_at_60_and_80_percent(self):
         cfg = tiny_config(epochs=30)
@@ -54,19 +54,19 @@ class TestConfig:
     def test_parse_file_with_overrides(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("batch_size=16\nlam=2.5\nlr_milestones=3,4\n"
-                        "tracker_source=both\nepochs=6\n# comment\n\n")
-        cfg = trainer.parse_train_config(path, overrides={"seed": 42})
+                        "lig_reduction=mean\nepochs=6\n# comment\n\n")
+        cfg = build_config(trainer.TrainConfig, path, overrides={"seed": 42})
         assert cfg.batch_size == 16
         assert cfg.lam == 2.5
         assert cfg.lr_milestones == (3, 4)
-        assert cfg.tracker_source == "both"
+        assert cfg.lig_reduction == "mean"
         assert cfg.seed == 42
 
     def test_parse_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("batch_size=16\nbogus_key=3\n")
         with pytest.raises(ConfigError, match="2"):
-            trainer.parse_train_config(path)
+            build_config(trainer.TrainConfig, path)
 
     def test_variant_mapping(self):
         cfg = tiny_config(augment_p=0.3)
@@ -243,7 +243,7 @@ class TestTrainStep:
     def test_abort_report_names_head_bias(self, dataset):
         cfg = tiny_config(head_bias=True)
         state = trainer.init_train_state(cfg, dataset)
-        state.model.w1[:] = np.inf
+        state.model.w2[:] = np.inf
         clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
                                     flips(cfg, 0, dataset))
         with pytest.raises(NumericError, match="'head_b': 0.0"):
@@ -252,7 +252,7 @@ class TestTrainStep:
 
 def scalar_bias_train_step(state, config, clean_batch, aug_batch, lr):
     """The train step with a scalar head bias, as it was before the
-    parameter table, for the clean tracker source: the bias gradient is
+    parameter table: the bias gradient is
     ``lam * grad_bias`` in float64 rounded once to float32, and the bias
     goes through a one-element array and back to a float32 scalar."""
     (clean_imgs, clean_labels), (aug_imgs, aug_labels) = clean_batch, aug_batch
@@ -325,8 +325,7 @@ class TestHeadBias:
 class TestUnsplitStep:
     @pytest.mark.parametrize("variant", ["cr", "cr-aug"])
     @pytest.mark.parametrize("extra", [
-        {}, {"propagate_lig_to_backbone": True},
-        {"tracker_source": "both"}])
+        {}, {"propagate_lig_to_backbone": True}])
     def test_one_forward_and_same_bytes_as_two(self, dataset, tmp_path,
                                                monkeypatch, variant, extra):
         cfg = trainer.apply_variant(tiny_config(**extra), variant)
