@@ -89,7 +89,7 @@ def forward(model, batch):
     pre_hidden = x @ model.w1 + model.b1
     hidden = np.maximum(pre_hidden, 0.0)
     pre_norm = hidden @ model.w2 + model.b2
-    norms = np.linalg.norm(pre_norm, axis=1)
+    norms = np.sqrt(np.add.reduce(pre_norm * pre_norm, axis=1))
     if np.any(norms < NORM_FLOOR):
         raise DegenerateEmbeddingError(
             f"pre-normalization norm below {NORM_FLOOR}")

@@ -31,7 +31,8 @@ from .errors import (
     NumericError,
     StructuralError,
 )
-from .rngstreams import T_DEGRADE, T_FLIP, first_random, rng_for
+from .rngstreams import (T_AUG, T_DEGRADE, T_FLIP, first_random, rng_for,
+                         rngs_for)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -365,6 +366,19 @@ def _selfchecks():
         worst = max(worst, float(np.abs(
             first_random(seed, T_DEGRADE, classes, samples) - loop).max()))
     checks.append(("degrade coins match rng_for", worst, 0.0))
+
+    # rngs_for's generators must draw as rng_for's and end where they do
+    worst = 0.0
+    for seed in (0, 2 ** 32 - 1):
+        for i, got in enumerate(rngs_for(seed, T_AUG, 2, np.arange(40))):
+            want = rng_for(seed, T_AUG, 2, i)
+            # a power-of-two range takes a stale buffered half word as is
+            draws = [(g.random(), g.uniform(0.5, 2.0), g.integers(0, 16))
+                     for g in (got, want)]
+            same = got.bit_generator.state == want.bit_generator.state
+            worst = max(worst, float(np.abs(np.subtract(*draws)).max()),
+                        0.0 if same else 1.0)
+    checks.append(("augment streams match rng_for", worst, 0.0))
 
     thr = evalkit.fmr_threshold([0.1, 0.2, 0.3, 0.4], 0.25)
     checks.append(("fmr threshold hand example", abs(thr - 0.35), 1e-12))

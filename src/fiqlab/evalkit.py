@@ -147,8 +147,8 @@ def fmr_threshold(nonmated_sims, fmr_target):
     if k >= n:
         return float(sims[-1] - 1.0)
     upper, lower = sims[k - 1], sims[k]
-    if upper > lower:
-        return float((upper + lower) / 2.0)
+    if upper > lower:  # the midpoint of adjacent doubles can round to lower
+        return float(max((upper + lower) / 2.0, np.nextafter(lower, upper)))
     # Tie across the cut: reject every similarity equal to the tied value.
     above = sims[sims > upper]
     gap = (above[-1] - upper) / 2.0 if above.size else 1.0

@@ -68,7 +68,7 @@ def init_bank(embed_dim, num_classes, scale=64.0, margin=0.5, rng=None,
 
 
 def _normalized_columns(bank):
-    norms = np.linalg.norm(bank.weights, axis=0)
+    norms = np.sqrt(np.add.reduce(bank.weights * bank.weights, axis=0))
     if np.any(norms < _PROTO_NORM_FLOOR):
         raise NumericError("prototype column with (near-)zero norm")
     return bank.weights / norms, norms

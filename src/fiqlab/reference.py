@@ -96,25 +96,12 @@ def comparison_train_config(seed, variant, epochs=20):
     return trainer.apply_variant(cfg, variant)
 
 
-def comparison_train_dataset(seed):
-    return synthdata.gen_dataset(
-        reference_synth_config(3000 + seed, degrade_fraction=0.3,
-                               pose_spread=0.8))
-
-
-def heldout_mixed_dataset(seed):
-    """Held-out identities, half the samples degraded."""
+def _heldout_dataset(seed, degrade_fraction):
+    """Held-out identities, none of them duplicates."""
     return synthdata.gen_dataset(synthdata.SynthConfig(
         num_classes=50, samples_per_class=12, side=24,
         duplicate_class_fraction=0.0, pose_spread=0.6,
-        degrade_fraction=0.5, seed=4000 + seed))
-
-
-def heldout_clean_dataset(seed):
-    return synthdata.gen_dataset(synthdata.SynthConfig(
-        num_classes=50, samples_per_class=12, side=24,
-        duplicate_class_fraction=0.0, pose_spread=0.6,
-        degrade_fraction=0.0, seed=5000 + seed))
+        degrade_fraction=degrade_fraction, seed=seed))
 
 
 def train_eval_reference_model(seed=77):
@@ -130,23 +117,13 @@ def train_eval_reference_model(seed=77):
     return state.model
 
 
-def erc_auc_for_scores(eval_model, dataset, scores, fmr, seed):
-    emb = evalkit.embed_dataset(eval_model, dataset.images)
-    pairs = evalkit.gen_pairs(dataset, max_per_class=40, nonmated_count=6000,
-                              seed=seed)
-    sims = evalkit.pair_similarities(emb, pairs)
-    return evalkit.erc(pairs, sims, scores, fmr).auc
-
-
-def clean_pair_fnmr(model, dataset, fmr, seed):
-    """FNMR of a model's own embeddings at a threshold calibrated to the
-    target FMR, no rejection."""
+def _pair_similarities(model, dataset, seed):
+    """The verification pairs of ``dataset`` and their similarities
+    under ``model``."""
     emb = evalkit.embed_dataset(model, dataset.images)
     pairs = evalkit.gen_pairs(dataset, max_per_class=40, nonmated_count=6000,
                               seed=seed)
-    sims = evalkit.pair_similarities(emb, pairs)
-    threshold = evalkit.fmr_threshold(sims[~pairs.genuine], fmr)
-    return evalkit.fnmr(sims[pairs.genuine], threshold)
+    return pairs, evalkit.pair_similarities(emb, pairs)
 
 
 @dataclass
@@ -162,19 +139,23 @@ def run_variant_comparison(seed, eval_model, variants=("ig", "cr", "cr-aug"),
     """Train the requested variants on one seed and evaluate both the
     cross-model rejection AUC (mixed-quality held-out split) and the
     own-backbone clean-pair FNMR."""
-    train_ds = comparison_train_dataset(seed)
-    mixed = heldout_mixed_dataset(seed)
-    clean = heldout_clean_dataset(seed)
+    train_ds = synthdata.gen_dataset(reference_synth_config(
+        3000 + seed, degrade_fraction=0.3, pose_spread=0.8))
+    mixed = _heldout_dataset(4000 + seed, 0.5)
+    clean = _heldout_dataset(5000 + seed, 0.0)
+    eval_pairs, eval_sims = _pair_similarities(eval_model, mixed, seed)
     aucs, fnmrs, ranks = {}, {}, {}
     for variant in variants:
         cfg = comparison_train_config(seed, variant, epochs=epochs)
         state, _ = trainer.run_training(cfg, train_ds)
-        fnmrs[variant] = clean_pair_fnmr(state.model, clean, fmr, seed)
+        pairs, sims = _pair_similarities(state.model, clean, seed)
+        threshold = evalkit.fmr_threshold(sims[~pairs.genuine], fmr)
+        fnmrs[variant] = evalkit.fnmr(sims[pairs.genuine], threshold)
         if variant in ("ig", "cr", "ig-noaug"):
             emb = evalkit.embed_dataset(state.model, mixed.images)
             scores = quality.predict(state.head, emb)
-            aucs[variant] = erc_auc_for_scores(eval_model, mixed, scores,
-                                               fmr, seed)
+            aucs[variant] = evalkit.erc(eval_pairs, eval_sims, scores,
+                                        fmr).auc
             ranks[variant] = evalkit.spearman(
                 scores, 1.0 - mixed.degradation_level)
     return VariantComparison(seed=seed, auc=aucs, clean_fnmr=fnmrs,

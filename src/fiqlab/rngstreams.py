@@ -130,16 +130,14 @@ def _low_words(values):
     return (np.asarray(values, dtype=np.int64) & _M32).astype(np.uint32)
 
 
-def first_random(seed, tag, counter, indices):
-    """``rng_for(seed, tag, c, i).random()`` for every pair of ``counter``
-    and ``indices`` broadcast against each other, bit for bit, computed
-    in one vectorised pass; the result has their broadcast shape."""
+def stream_states(seed, tag, counter, indices):
+    """The seeded PCG64 ``(state, inc)`` of ``rng_for(seed, tag, c, i)``
+    for ``counter`` and ``indices`` broadcast together, in one vectorised
+    pass: each four 32-bit limbs, low first, as uint64 arrays."""
     counter, idx = np.broadcast_arrays(_low_words(counter), _low_words(indices))
-    shape = idx.shape
-    words = [np.full(idx.size, int(v) & _M32, dtype=np.uint32)
+    words = [np.full(idx.shape, int(v) & _M32, dtype=np.uint32)
              for v in (seed, tag)]
-    words += [counter.ravel(), idx.ravel()]
-    s = [w.astype(np.uint64) for w in _seed_state(words)]
+    s = [w.astype(np.uint64) for w in _seed_state(words + [counter, idx])]
     # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
     # word 0 as the high half of the initial state, word 2 of the sequence.
     init = [s[2], s[3], s[0], s[1]]
@@ -148,14 +146,40 @@ def first_random(seed, tag, counter, indices):
     for k in range(1, 4):
         inc.append(((seq[k] << np.uint64(1)) | (seq[k - 1] >> np.uint64(31)))
                    & np.uint64(_M32))
-    zero = np.zeros(idx.size, dtype=np.uint64)
+    zero = np.zeros(idx.shape, dtype=np.uint64)
     state = _pcg_step([zero] * 4, inc)
     state = _carry([a + b for a, b in zip(state, init)])
-    state = _pcg_step(_pcg_step(state, inc), inc)
+    return _pcg_step(state, inc), inc
+
+
+def first_random(seed, tag, counter, indices):
+    """``rng_for(seed, tag, c, i).random()`` for every pair of ``counter``
+    and ``indices`` broadcast against each other, bit for bit, computed
+    in one vectorised pass; the result has their broadcast shape."""
+    state, inc = stream_states(seed, tag, counter, indices)
+    state = _pcg_step(state, inc)
     # XSL-RR output of the new state, then the top 53 bits as a double
     hi = (state[3] << np.uint64(32)) | state[2]
     lo = (state[1] << np.uint64(32)) | state[0]
     x = hi ^ lo
     rot = state[3] >> np.uint64(26)
     x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return ((x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).reshape(shape)
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def rngs_for(seed, tag, counter, indices):
+    """Yield ``rng_for(seed, tag, counter, i)`` for each ``i`` of the 1-D
+    ``indices`` in turn, seeded by ``stream_states``.  numpy's own methods
+    make every draw: one reused PCG64 is moved to each stream by assigning
+    its state, so a yielded generator is valid only until the next."""
+    # the high and low 64 bits of the state, then of the increment
+    words = [((x[k + 1] << np.uint64(32)) | x[k]).tolist()
+             for x in stream_states(seed, tag, counter, indices) for k in (2, 0)]
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in zip(*words):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": s_hi << 64 | s_lo,
+                                  "inc": i_hi << 64 | i_lo},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng

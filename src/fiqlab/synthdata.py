@@ -193,10 +193,11 @@ def _bilinear_upscale_matrix(n_in, n_out):
 def rescale_blur(img, factor):
     """Shrink the image by ``factor`` (area averaging) and restore it to
     its original size (bilinear), blurring it.  factor=1 is the identity.
+    A stack is blurred over its last two axes, image by image.
     """
     if not 0.0 < factor <= 1.0:
         raise DomainError(f"rescale factor must lie in (0, 1], got {factor}")
-    side = img.shape[0]
+    side = img.shape[-1]
     small = max(1, int(round(side * factor)))
     if small == side:
         return img.copy()
@@ -206,17 +207,16 @@ def rescale_blur(img, factor):
     return np.clip(out, 0.0, 1.0).astype(img.dtype, copy=False)
 
 
-def _erase_rect(img, rng, lo_frac, hi_frac):
-    """Zero out a random rectangle covering a fraction of the image in
-    [lo_frac, hi_frac] after integer rounding.  No-op when the range
-    rounds below one pixel.
+def _erase_draw(side, rng, lo_frac, hi_frac):
+    """Draw a rectangle covering a fraction of a side x side image in
+    [lo_frac, hi_frac] after integer rounding: (top, left, h, w), empty
+    and drawing nothing when the range rounds below one pixel.
     """
-    side = img.shape[0]
     total = side * side
     lo_px = max(1, math.ceil(lo_frac * total))
     hi_px = math.floor(hi_frac * total)
     if hi_px < 1:
-        return img.copy()
+        return 0, 0, 0, 0
     lo_px = min(lo_px, hi_px)
     area = rng.uniform(lo_frac, hi_frac) * total
     aspect = rng.uniform(0.5, 2.0)
@@ -228,6 +228,12 @@ def _erase_rect(img, rng, lo_frac, hi_frac):
     w = min(max(round(area / h), w_lo), max(w_lo, w_hi))
     top = int(rng.integers(0, side - h + 1))
     left = int(rng.integers(0, side - w + 1))
+    return top, left, h, w
+
+
+def _erase_rect(img, rng, lo_frac, hi_frac):
+    """A copy of the image with the rectangle of ``_erase_draw`` zeroed."""
+    top, left, h, w = _erase_draw(img.shape[0], rng, lo_frac, hi_frac)
     out = img.copy()
     out[top:top + h, left:left + w] = 0.0
     return out
@@ -263,25 +269,48 @@ def hflip(img, rng):
     return img.copy()
 
 
+def augment_stack(imgs, rngs, p=0.3):
+    """Augment an (n, side, side) stack in place and return it, image
+    ``k`` drawing from the ``k``-th generator of ``rngs`` all that
+    ``augment`` draws, in its order; then each operator runs once."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
+    side = imgs.shape[-1]
+    factor, rects, jitter = np.ones(len(imgs)), {}, {}
+    for k, rng in enumerate(rngs):
+        if rng.random() < p:
+            factor[k] = rng.uniform(BLUR_FACTOR_LO, BLUR_FACTOR_HI)
+        if rng.random() < p:
+            rects[k] = _erase_draw(side, rng, ERASE_AREA_LO, ERASE_AREA_HI)
+        if rng.random() < p:
+            jitter[k] = (rng.uniform(JITTER_GAIN_LO, JITTER_GAIN_HI),
+                         rng.uniform(-JITTER_SHIFT, JITTER_SHIFT))
+    # one blur per shrunk size, which every factor of its group gives (both
+    # rounds halve to even); a size of ``side`` leaves the image as it is
+    small = np.maximum(1, np.round(side * factor))
+    for size in np.unique(small[small < side]):
+        rows = np.flatnonzero(small == size)
+        imgs[rows] = rescale_blur(imgs[rows], factor[rows[0]])
+    for k, (top, left, h, w) in rects.items():
+        imgs[k, top:top + h, left:left + w] = 0.0
+    if jitter:
+        rows = list(jitter)
+        # cast as a Python float is when it meets the image's dtype
+        gain, shift = np.array(list(jitter.values()), dtype=imgs.dtype).T
+        imgs[rows] = jitter_affine(imgs[rows], gain[:, None, None],
+                                   shift[:, None, None])
+    return imgs
+
+
 def augment(img, rng, p=0.3):
     """Apply each quality-degrading operator independently with
-    probability ``p``, in the fixed order blur -> erase -> jitter.
+    probability ``p``, in the fixed order blur -> erase -> jitter; the
+    one-image case of ``augment_stack``.
 
     With an image-and-epoch-specific ``rng`` this makes augmentation a
     pure function of the stream, so epochs redraw independently.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
-    out = img
-    if rng.random() < p:
-        out = rescale_blur(out, rng.uniform(BLUR_FACTOR_LO, BLUR_FACTOR_HI))
-    if rng.random() < p:
-        out = random_erase(out, rng)
-    if rng.random() < p:
-        out = color_jitter(out, rng)
-    if out is img:
-        out = img.copy()
-    return out
+    return augment_stack(img[None].copy(), [rng], p)[0]
 
 
 def degrade(img, level, rng):

@@ -41,12 +41,16 @@ from .rngstreams import (
     T_TRACKED,
     first_random,
     rng_for,
+    rngs_for,
 )
-from .synthdata import augment
+from .synthdata import augment_stack
 from . import evalkit
 
 CKPT_MAGIC = b"IGFQCKPT"
 CKPT_VERSION = 1
+
+# Rows one _build_half call makes at most, unless one step needs more.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -291,10 +295,8 @@ def _build_half(dataset, indices, config, epoch, degraded, flips):
     f = flips[indices]
     imgs[f] = imgs[f][:, :, ::-1]
     if degraded and config.augment_p > 0.0:
-        for row, i in enumerate(indices):
-            imgs[row] = augment(imgs[row],
-                                rng_for(config.seed, T_AUG, epoch, int(i)),
-                                config.augment_p)
+        augment_stack(imgs, rngs_for(config.seed, T_AUG, epoch, indices),
+                      config.augment_p)
     return imgs, np.asarray(dataset.labels, dtype=np.int64)[indices]
 
 
@@ -328,7 +330,13 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
         n, size=min(200, n), replace=False)
     prev_snapshot = _tracked_ccs(state, dataset, tracked_idx)
 
+    # the columns of a batch each _build_half call makes, and whether
+    # it augments them; a block of steps is built at once
     half = b // 2
+    parts = ([(slice(0, half), False), (slice(half, b), True)]
+             if config.split_batch else [(slice(0, b), True)])
+    rows = b // len(parts)
+    block = max(1, _BLOCK_ROWS // rows)
     milestones = set(config.milestones())
     for epoch in range(state.epoch, config.epochs):
         lr = config.lr_at(epoch)
@@ -337,21 +345,21 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
         arc_sum = 0.0
         ig_sum = 0.0
         n_steps = 0
-        for t in range(state.step_in_epoch, steps_per_epoch):
-            idx = perm[t * b:(t + 1) * b]
-            if config.split_batch:
-                clean = _build_half(dataset, idx[:half], config, epoch, False,
-                                    flips)
-                aug = _build_half(dataset, idx[half:], config, epoch, True,
-                                  flips)
-            else:
-                full = _build_half(dataset, idx, config, epoch, True, flips)
-                clean = aug = full
-            train_step(state, config, clean, aug, lr)
-            arc_sum += state.last_step.l_arc
-            ig_sum += state.last_step.l_ig
-            n_steps += 1
-            state.step_in_epoch = t + 1
+        for first in range(state.step_in_epoch, steps_per_epoch, block):
+            last = min(first + block, steps_per_epoch)
+            idx = perm[first * b:last * b].reshape(last - first, b)
+            built = [_build_half(dataset, idx[:, cols].ravel(), config, epoch,
+                                 degraded, flips) for cols, degraded in parts]
+            for t in range(first, last):
+                r = slice((t - first) * rows, (t - first + 1) * rows)
+                # unsplit, the one full batch is both halves
+                clean, aug = [(imgs[r], labels[r])
+                              for imgs, labels in (built[0], built[-1])]
+                train_step(state, config, clean, aug, lr)
+                arc_sum += state.last_step.l_arc
+                ig_sum += state.last_step.l_ig
+                n_steps += 1
+                state.step_in_epoch = t + 1
         state.epoch = epoch + 1
         state.step_in_epoch = 0
 

@@ -120,8 +120,12 @@ def weights(tracker):
     initialization) every class gets weight 1.
     """
     v = tracker.v
-    mu = float(v.mean())
-    sigma = float(v.std())
+    # v.mean() and v.std() without their wrappers, rounding as they do
+    n = np.intp(v.size)
+    mean = v.dtype.type(np.add.reduce(v) / n)
+    dev = v - mean
+    mu = float(mean)
+    sigma = float(np.sqrt(v.dtype.type(np.add.reduce(dev * dev) / n)))
     if sigma < SIGMA_FLOOR:
         return WeightVector(w=np.ones_like(v), mu=mu, sigma=sigma)
     z = (v - mu) / sigma

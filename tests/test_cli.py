@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fiqlab import cli, margin, synthdata
+from fiqlab import cli, margin, rngstreams, synthdata
 
 
 SYNTH_CFG = """\
@@ -313,6 +313,15 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL  degrade coins match rng_for" in out
         assert "PASS  flip streams match rng_for" in out
+
+    def test_detects_stream_states_off_by_one(self, monkeypatch, capsys):
+        real = rngstreams.stream_states
+        monkeypatch.setattr(
+            rngstreams, "stream_states",
+            lambda seed, tag, counter, indices:
+                real(seed, tag, counter, np.asarray(indices) + 1))
+        assert cli.main(["selfcheck"]) == 3
+        assert "FAIL  augment streams match rng_for" in capsys.readouterr().out
 
     def test_grad_check_command(self, capsys):
         assert cli.main(["grad-check"]) == 0

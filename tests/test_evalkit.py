@@ -234,6 +234,8 @@ class TestFmrThreshold:
 
     @given(st.lists(st.floats(-1, 1), min_size=1, max_size=60),
            st.floats(0.01, 0.99))
+    # adjacent doubles whose midpoint rounds down to the lower one
+    @example([0.0, 5e-324], 0.5)
     @settings(max_examples=200)
     def test_realized_fmr_never_exceeds_target(self, sims, target):
         thr = evalkit.fmr_threshold(sims, target)

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiqlab import backbone as bb
 from fiqlab import margin, quality, synthdata, trainer, variance
 from fiqlab.configio import build_config
 from fiqlab.errors import ConfigError, FormatError, NumericError
-from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for
+from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for, rngs_for
 
 
 @pytest.fixture(scope="module")
@@ -360,10 +362,26 @@ class TestUnsplitStep:
                 == (tmp_path / "oracle.bin").read_bytes())
 
 
+def augment_loop(img, rng, p):
+    """The per-image augmentation: each operator applied to one image as
+    soon as its parameters are drawn."""
+    out = img
+    if rng.random() < p:
+        out = synthdata.rescale_blur(out, rng.uniform(
+            synthdata.BLUR_FACTOR_LO, synthdata.BLUR_FACTOR_HI))
+    if rng.random() < p:
+        out = synthdata.random_erase(out, rng)
+    if rng.random() < p:
+        out = synthdata.color_jitter(out, rng)
+    if out is img:
+        out = img.copy()
+    return out
+
+
 def build_half_loop(dataset, indices, config, epoch, degraded, flips=None):
     """The per-image batch build: each sample draws its flip from its own
     T_FLIP stream through hflip, then its augmentation from its own T_AUG
-    stream.  ``flips`` is ignored."""
+    stream through augment_loop.  ``flips`` is ignored."""
     imgs = np.empty((len(indices), dataset.side, dataset.side),
                     dtype=dataset.images.dtype)
     for row, i in enumerate(indices):
@@ -371,8 +389,8 @@ def build_half_loop(dataset, indices, config, epoch, degraded, flips=None):
         img = synthdata.hflip(dataset.images[i],
                               rng_for(config.seed, T_FLIP, epoch, i))
         if degraded and config.augment_p > 0.0:
-            img = synthdata.augment(img, rng_for(config.seed, T_AUG, epoch, i),
-                                    config.augment_p)
+            img = augment_loop(img, rng_for(config.seed, T_AUG, epoch, i),
+                               config.augment_p)
         imgs[row] = img
     return imgs, np.asarray(dataset.labels, dtype=np.int64)[indices]
 
@@ -408,6 +426,34 @@ class TestBuildHalf:
         assert 0 < mask.sum() < dataset.num_samples
 
 
+class TestAugmentStack:
+    @given(st.integers(4, 40), st.sampled_from([0.0, 0.3, 1.0]),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+           st.sampled_from([np.float32, np.float64]))
+    # image 0 of seed 26 on side 4 erases a full-width row, so its left
+    # offset is integers(0, 1), which draws nothing
+    @example(side=4, p=1.0, seed=26, n=3, dtype=np.float32)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_augment_loop(self, side, p, seed, n, dtype):
+        imgs = rng_for(seed, 91).uniform(0.0, 1.0, (n, side, side))
+        imgs = imgs.astype(dtype)
+        want = np.stack([augment_loop(imgs[k], rng_for(seed, T_AUG, 3, k), p)
+                         for k in range(n)])
+        got = synthdata.augment_stack(
+            imgs.copy(), [rng_for(seed, T_AUG, 3, k) for k in range(n)], p)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        one = synthdata.augment(imgs[0], rng_for(seed, T_AUG, 3, 0), p)
+        assert one.tobytes() == want[0].tobytes()
+
+    def test_pinned_example_erases_full_width(self):
+        rng = rng_for(26, T_AUG, 3, 0)
+        rng.random(), rng.random(), rng.random()  # blur coin, factor, erase coin
+        top, left, h, w = synthdata._erase_draw(
+            4, rng, synthdata.ERASE_AREA_LO, synthdata.ERASE_AREA_HI)
+        assert (left, w) == (0, 4)
+
+
 class TestRunTraining:
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
     def test_same_bytes_as_per_image_batch_build(self, dataset, tmp_path,
@@ -426,6 +472,65 @@ class TestRunTraining:
         assert sorted(outputs["mask"]) == ["ckpt_epoch0001.bin",
                                            "ckpt_epoch0002.bin", "report.csv"]
         assert outputs["mask"] == outputs["loop"]
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_block_size_leaves_bytes_unchanged(self, dataset, tmp_path,
+                                               monkeypatch, variant):
+        cfg = trainer.apply_variant(tiny_config(epochs=2), variant)
+        real, calls = trainer._build_half, []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "_build_half", counted)
+        outputs = {}
+        for block_rows in (trainer._BLOCK_ROWS, 12, 1):
+            monkeypatch.setattr(trainer, "_BLOCK_ROWS", block_rows)
+            calls.clear()
+            out = tmp_path / str(block_rows)
+            out.mkdir()
+            _, logs = trainer.run_training(cfg, dataset, checkpoint_dir=out)
+            trainer.write_report_csv(logs, out / "report.csv")
+            outputs[block_rows] = {p.name: p.read_bytes()
+                                   for p in sorted(out.iterdir())}
+            # 6 steps an epoch; a split batch is built as two calls
+            rows = 4 if cfg.split_batch else 8
+            assert max(calls) == rows * min(6, max(1, block_rows // rows))
+        assert outputs[12] == outputs[1] == outputs[trainer._BLOCK_ROWS]
+
+    @pytest.mark.parametrize("variant", ["ig", "cr-aug"])
+    def test_resume_mid_block_equals_uninterrupted(self, dataset, tmp_path,
+                                                   monkeypatch, variant):
+        # 16 rows: blocks of 4 split steps or 2 unsplit ones, so step 3
+        # lies inside a block either way
+        monkeypatch.setattr(trainer, "_BLOCK_ROWS", 16)
+        cfg = trainer.apply_variant(tiny_config(epochs=2), variant)
+        full, _ = trainer.run_training(cfg, dataset)
+
+        class Interrupted(Exception):
+            pass
+
+        real = trainer.train_step
+
+        def stop_at_step_3(state, *args):
+            if state.global_step == 3:
+                raise Interrupted
+            return real(state, *args)
+
+        state = trainer.init_train_state(cfg, dataset)
+        monkeypatch.setattr(trainer, "train_step", stop_at_step_3)
+        with pytest.raises(Interrupted):
+            trainer.run_training(cfg, dataset, state=state)
+        monkeypatch.setattr(trainer, "train_step", real)
+        assert (state.epoch, state.step_in_epoch) == (0, 3)
+        trainer.checkpoint_save(state, tmp_path / "mid.bin")
+        resumed, _ = trainer.run_training(
+            cfg, dataset, state=trainer.checkpoint_load(tmp_path / "mid.bin"))
+        trainer.checkpoint_save(full, tmp_path / "full.bin")
+        trainer.checkpoint_save(resumed, tmp_path / "resumed.bin")
+        assert ((tmp_path / "full.bin").read_bytes()
+                == (tmp_path / "resumed.bin").read_bytes())
 
     def test_oracle_errors_propagate(self, dataset, monkeypatch):
         def broken(dataset, model):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fiqlab import variance
 from fiqlab.errors import DomainError, StructuralError
@@ -242,3 +243,17 @@ class TestWeights:
         assert lines[0] == "class_id,v,weight"
         assert len(lines) == 4
         assert lines[1].startswith("0,0.5,")
+
+
+class TestWeightStatistics:
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dtype: hnp.arrays(dtype, st.integers(1, 600),
+                                 elements=st.floats(-1e6, 1e6, width=32))),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mu_sigma_bitwise_as_mean_and_std(self, v, constant):
+        if constant:
+            v[:] = v[0]
+        wv = variance.weights(variance.VarianceTracker(v=v))
+        assert np.float64(wv.mu).tobytes() == np.float64(v.mean()).tobytes()
+        assert np.float64(wv.sigma).tobytes() == np.float64(v.std()).tobytes()
