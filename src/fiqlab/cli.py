@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: synth, train, score, erc, report, oracle-check, grad-check,
-selfcheck.  Every command writes a JSON run manifest next to its outputs
-recording the argv, the resolved configuration, and the SHA-256 of each
-output file, so a run can be replayed and verified bit-for-bit.
+selfcheck.  Every command that writes files records itself in the
+``manifest.json`` of their directory: the argv, the resolved
+configuration, and the SHA-256 of each output file, so a run can be
+replayed and verified bit-for-bit.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/format error,
 3 numeric failure.
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import backbone as bb
 from . import evalkit, margin, quality, synthdata, trainer, variance
-from .configio import build_config
+from .configio import build_config, text_lines
 from .errors import (
     ConfigError,
     DomainError,
@@ -31,8 +32,7 @@ from .errors import (
     NumericError,
     StructuralError,
 )
-from .rngstreams import (T_AUG, T_DEGRADE, T_FLIP, first_random, rng_for,
-                         rngs_for)
+from .rngstreams import T_SAMPLE, first_random, rng_for, rngs_for
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +50,12 @@ def _sha256(path):
 
 def write_manifest(out_dir, command, argv, config, inputs, outputs,
                    seed=None, started=None):
-    manifest = {
+    """Record a command in ``out_dir/manifest.json``, which keeps one
+    record per command that wrote there: a record of the same command
+    with an output in common, a re-run, is replaced; every other stays.
+    Outputs are files of ``out_dir``, so their names identify them
+    however their paths were spelled."""
+    record = {
         "command": command,
         "argv": list(argv),
         "config": config,
@@ -62,13 +67,30 @@ def write_manifest(out_dir, command, argv, config, inputs, outputs,
         "elapsed_s": None if started is None else time.time() - started,
     }
     path = Path(out_dir) / "manifest.json"
+    kept = load_manifest(path)["commands"] if path.exists() else []
+    names = {Path(p).name for p in outputs}
+    kept = [r for r in kept if r["command"] != command
+            or names.isdisjoint(Path(p).name for p in r["outputs"])]
+    manifest = {"commands": kept + [record]}
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
 
 
 def load_manifest(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A manifest, ``{"commands": [record, ...]}``, each record naming
+    its command and the sha256 of its outputs; FormatError otherwise."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: not a JSON manifest ({exc})") from exc
+    records = manifest.get("commands") if isinstance(manifest, dict) else None
+    if not isinstance(records, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("command"), str)
+            and isinstance(r.get("outputs"), dict) for r in records):
+        raise FormatError(f"{path}: expected {{\"commands\": [record, ...]}} "
+                          f"with a command and outputs in every record")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +168,28 @@ def cmd_score(args, argv):
 def _read_scores_csv(path, expected):
     scores = np.full(expected, np.nan)
     seen = bytearray(expected)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "sample_id,score":
-            raise FormatError(f"{path}: expected header 'sample_id,score'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sid, value = line.split(",")
-                sid, value = int(sid), float(value)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad row {line!r}") from exc
-            if not 0 <= sid < expected:
-                raise FormatError(f"{path}:{lineno}: sample id {sid} outside "
-                                  f"[0, {expected})")
-            if not math.isfinite(value):
-                raise FormatError(f"{path}:{lineno}: non-finite score "
-                                  f"{value} for sample {sid}")
-            if seen[sid]:
-                raise FormatError(f"{path}:{lineno}: repeated sample id {sid}")
-            seen[sid] = 1
-            scores[sid] = value
+    header, *rows = text_lines(path, FormatError) or [""]
+    if header.strip() != "sample_id,score":
+        raise FormatError(f"{path}: expected header 'sample_id,score'")
+    for lineno, line in enumerate(rows, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sid, value = line.split(",")
+            sid, value = int(sid), float(value)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad row {line!r}") from exc
+        if not 0 <= sid < expected:
+            raise FormatError(f"{path}:{lineno}: sample id {sid} outside "
+                              f"[0, {expected})")
+        if not math.isfinite(value):
+            raise FormatError(f"{path}:{lineno}: non-finite score "
+                              f"{value} for sample {sid}")
+        if seen[sid]:
+            raise FormatError(f"{path}:{lineno}: repeated sample id {sid}")
+        seen[sid] = 1
+        scores[sid] = value
     if np.any(np.isnan(scores)):
         raise FormatError(f"{path}: missing scores for some samples")
     return scores
@@ -345,40 +366,26 @@ def _selfchecks():
     worst = _oracle_cross_check(ds, model, evalkit.oracle_variance(ds, model))
     checks.append(("oracle variance cross-check", worst, 1e-10))
 
-    # the vectorised flip coins restate numpy's SeedSequence and PCG64;
-    # an installed numpy whose streams diverged would show up here
+    # first_random and rngs_for restate numpy's SeedSequence and PCG64
+    # seeding; an installed numpy whose streams diverged would show here
     worst = 0.0
     idx = np.arange(300)
     for seed in (0, 2 ** 32 - 1):
-        loop = np.array([rng_for(seed, T_FLIP, 2, int(i)).random()
-                         for i in idx])
-        worst = max(worst, float(np.abs(
-            first_random(seed, T_FLIP, 2, idx) - loop).max()))
-    checks.append(("flip streams match rng_for", worst, 0.0))
-
-    # generation takes each sample's degrade coin from first_random with
-    # the class as a per-element counter
-    worst = 0.0
-    classes, samples = np.arange(12)[:, None], np.arange(25)
-    for seed in (0, 2 ** 32 - 1):
-        loop = np.array([[rng_for(seed, T_DEGRADE, c, i).random()
-                          for i in range(25)] for c in range(12)])
-        worst = max(worst, float(np.abs(
-            first_random(seed, T_DEGRADE, classes, samples) - loop).max()))
-    checks.append(("degrade coins match rng_for", worst, 0.0))
-
-    # rngs_for's generators must draw as rng_for's and end where they do
-    worst = 0.0
-    for seed in (0, 2 ** 32 - 1):
-        for i, got in enumerate(rngs_for(seed, T_AUG, 2, np.arange(40))):
-            want = rng_for(seed, T_AUG, 2, i)
-            # a power-of-two range takes a stale buffered half word as is
-            draws = [(g.random(), g.uniform(0.5, 2.0), g.integers(0, 16))
-                     for g in (got, want)]
-            same = got.bit_generator.state == want.bit_generator.state
-            worst = max(worst, float(np.abs(np.subtract(*draws)).max()),
-                        0.0 if same else 1.0)
-    checks.append(("augment streams match rng_for", worst, 0.0))
+        for counter in (2, idx // 25):
+            batched = zip(first_random(seed, T_SAMPLE, counter, idx),
+                          rngs_for(seed, T_SAMPLE, counter, idx),
+                          *np.broadcast_arrays(counter, idx))
+            for first, got, c, i in batched:
+                want = rng_for(seed, T_SAMPLE, c, i)
+                # a power-of-two range takes a stale buffered half word as is
+                draws = [(g.random(), g.uniform(0.5, 2.0),
+                          *g.normal(0.0, 0.7, 2), g.integers(0, 16))
+                         for g in (got, want)]
+                same = got.bit_generator.state == want.bit_generator.state
+                worst = max(worst, abs(first - draws[1][0]),
+                            float(np.abs(np.subtract(*draws)).max()),
+                            0.0 if same else 1.0)
+    checks.append(("batched streams match rng_for", worst, 0.0))
 
     thr = evalkit.fmr_threshold([0.1, 0.2, 0.3, 0.4], 0.25)
     checks.append(("fmr threshold hand example", abs(thr - 0.35), 1e-12))

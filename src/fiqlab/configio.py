@@ -10,18 +10,27 @@ import dataclasses
 from .errors import ConfigError
 
 
+def text_lines(path, error):
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 raise
+    ``error``, a FiqError class, naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_kv_file(path):
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, "
-                                  f"got {line!r}")
-            key, _, value = line.partition("=")
-            entries.append((lineno, key.strip(), value.strip()))
+    for lineno, raw in enumerate(text_lines(path, ConfigError), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, "
+                              f"got {line!r}")
+        key, _, value = line.partition("=")
+        entries.append((lineno, key.strip(), value.strip()))
     return entries
 
 

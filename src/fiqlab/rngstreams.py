@@ -168,8 +168,9 @@ def first_random(seed, tag, counter, indices):
 
 
 def rngs_for(seed, tag, counter, indices):
-    """Yield ``rng_for(seed, tag, counter, i)`` for each ``i`` of the 1-D
-    ``indices`` in turn, seeded by ``stream_states``.  numpy's own methods
+    """Yield ``rng_for(seed, tag, c, i)`` for each ``i`` of the 1-D
+    ``indices`` in turn, ``c`` being ``counter`` or, for an array, its
+    matching element; seeded by ``stream_states``.  numpy's own methods
     make every draw: one reused PCG64 is moved to each stream by assigning
     its state, so a yielded generator is valid only until the next."""
     # the high and low 64 bits of the state, then of the increment

@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .rngstreams import (
     T_DEGRADE_SHARED,
     T_SAMPLE,
     T_TEMPLATE,
-    first_random,
     rng_for,
+    rngs_for,
 )
 
 MAGIC = b"IGFQDS1"
@@ -135,15 +136,25 @@ class IdentityDataset:
         return self.images.shape[1]
 
     def validate(self):
+        """Raise FormatError unless every array is in range.  NaN fails
+        the range checks: it propagates through ``min`` and ``max``."""
         n = self.num_samples
         if self.labels.shape != (n,) or self.degradation_level.shape != (n,):
             raise FormatError("per-sample arrays disagree on sample count")
-        counts = np.bincount(self.labels.astype(np.int64),
-                             minlength=self.num_classes)
-        if counts.size != self.num_classes or np.any(counts < 2):
+        if self.images.size == 0:
+            raise FormatError("dataset holds no pixels")
+        # labels are checked before bincount, which allocates up to the
+        # largest label
+        if not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
+            raise FormatError(f"labels outside [0, {self.num_classes})")
+        if np.bincount(self.labels, minlength=self.num_classes).min() < 2:
             raise FormatError("every class must appear at least twice")
-        if np.any(self.images < 0.0) or np.any(self.images > 1.0):
-            raise FormatError("pixel values outside [0, 1]")
+        for name, arr in (("pixel", self.images),
+                          ("degradation level", self.degradation_level)):
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+                raise FormatError(f"{name} values outside [0, 1]")
+        if not np.isin(self.class_flags, (FLAG_NORMAL, FLAG_DUPLICATE)).all():
+            raise FormatError("class flags must be 0 (normal) or 1 (duplicate)")
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +243,11 @@ def _erase_draw(side, rng, lo_frac, hi_frac):
 
 
 def _erase_rect(img, rng, lo_frac, hi_frac):
-    """A copy of the image with the rectangle of ``_erase_draw`` zeroed."""
-    top, left, h, w = _erase_draw(img.shape[0], rng, lo_frac, hi_frac)
+    """A copy of the image, or of every image of a stack, with the
+    rectangle of ``_erase_draw`` zeroed."""
+    top, left, h, w = _erase_draw(img.shape[-1], rng, lo_frac, hi_frac)
     out = img.copy()
-    out[top:top + h, left:left + w] = 0.0
+    out[..., top:top + h, left:left + w] = 0.0
     return out
 
 
@@ -316,7 +328,8 @@ def augment(img, rng, p=0.3):
 def degrade(img, level, rng):
     """Apply all three degradation operators with strength proportional
     to ``level`` in (0, 1].  Used to bake ground-truth quality loss into
-    generated samples.
+    generated samples.  A stack is degraded with one set of draws, the
+    same for every image.
     """
     if not 0.0 < level <= 1.0:
         raise DomainError(f"degradation level must lie in (0, 1], got {level}")
@@ -363,14 +376,12 @@ def gen_dataset(cfg):
     """Generate a dataset deterministically from ``cfg``.
 
     Duplicate-flagged classes draw one class-level degradation decision
-    and apply identical operator draws to every sample, so the class
-    stays a near-identical cluster of (possibly degraded) images; this
-    is the mislabel trap the variance guidance is meant to catch.
-    Normal classes draw degradation per sample: the first draw of the
-    sample's ``T_DEGRADE`` stream is its coin, computed for all samples
-    at once by ``first_random``, and only a sample whose coin falls
-    below ``degrade_fraction`` builds the stream for its level and
-    operator draws.
+    and degrade all their samples with one set of operator draws, so the
+    class stays a near-identical cluster of (possibly degraded) images;
+    this is the mislabel trap the variance guidance is meant to catch.
+    Normal classes draw degradation per sample: coin, level and operator
+    draws all come from the sample's ``T_DEGRADE`` stream.  Per-sample
+    streams are served in class-major order by ``rngs_for``.
     """
     c_total, n, side = cfg.num_classes, cfg.samples_per_class, cfg.side
     seed = cfg.seed
@@ -385,9 +396,10 @@ def gen_dataset(cfg):
     labels = np.repeat(np.arange(c_total, dtype=np.uint32), n)
     levels = np.zeros(c_total * n, dtype=np.float32)
 
-    # normal classes only read their rows
-    degraded = first_random(seed, T_DEGRADE, np.arange(c_total)[:, None],
-                            np.arange(n)) < cfg.degrade_fraction
+    within = np.tile(np.arange(n), c_total)
+    normal = flags[labels] == FLAG_NORMAL
+    sample_rngs = rngs_for(seed, T_SAMPLE, labels, within)
+    degrade_rngs = rngs_for(seed, T_DEGRADE, labels[normal], within[normal])
 
     for c in range(c_total):
         template = rng_for(seed, T_TEMPLATE, c).uniform(0.0, 1.0,
@@ -401,32 +413,27 @@ def gen_dataset(cfg):
             class_rng = rng_for(seed, T_DEGRADE, c)
             degraded_class = class_rng.random() < cfg.degrade_fraction
             level = 1.0 - class_rng.random() if degraded_class else 0.0
-            noise = np.empty((n, side, side))
-            for i in range(n):
-                noise[i] = rng_for(seed, T_SAMPLE, c, i).uniform(
-                    -DUPLICATE_PIXEL_TOL / 4, DUPLICATE_PIXEL_TOL / 4,
-                    (side, side))
+            noise = np.array([
+                rng.uniform(-DUPLICATE_PIXEL_TOL / 4, DUPLICATE_PIXEL_TOL / 4,
+                            (side, side)) for rng in islice(sample_rngs, n)])
             imgs = np.clip(_sample_template(template, side, [0.0], [0.0])
                            + noise, 0.0, 1.0)
             if level > 0.0:
-                for i in range(n):
-                    # Fresh stream per sample with identical draws keeps
-                    # the degraded copies within the duplicate tolerance.
-                    imgs[i] = degrade(imgs[i], level,
-                                      rng_for(seed, T_DEGRADE_SHARED, c))
+                # identical draws keep the degraded copies within the
+                # duplicate tolerance
+                imgs = degrade(imgs, level, rng_for(seed, T_DEGRADE_SHARED, c))
                 levels[rows] = level
         else:
             class_pose = cfg.pose_spread * rng_for(seed, T_TEMPLATE, c, 1).uniform(
                 _POSE_SCALE_LO, _POSE_SCALE_HI)
-            shifts = np.array([rng_for(seed, T_SAMPLE, c, i).normal(
-                0.0, class_pose, 2) for i in range(n)])
+            shifts = np.array([rng.normal(0.0, class_pose, 2)
+                               for rng in islice(sample_rngs, n)])
             imgs = _sample_template(template, side, shifts[:, 0], shifts[:, 1])
-            for i in np.flatnonzero(degraded[c]):
-                drng = rng_for(seed, T_DEGRADE, c, i)
-                drng.random()  # the coin, already drawn by first_random
-                level = 1.0 - drng.random()
-                imgs[i] = degrade(imgs[i], level, drng)
-                levels[c * n + i] = level
+            for i, drng in enumerate(islice(degrade_rngs, n)):
+                if drng.random() < cfg.degrade_fraction:
+                    level = 1.0 - drng.random()
+                    imgs[i] = degrade(imgs[i], level, drng)
+                    levels[c * n + i] = level
         images[rows] = imgs
 
     return IdentityDataset(images=images, labels=labels,

@@ -354,11 +354,10 @@ def test_criterion_9_manifest_determinism(tmp_path):
                          "--dataset", str(ds), "--scores", str(scores),
                          "--fmr", "0.05", "--nonmated", "150",
                          "--out", str(erc_dir)]) == 0
+        # every record of every manifest: synth's and score's share root's
         digests = {}
-        for mdir in (root, run_dir, scores.parent, erc_dir):
-            manifest_path = mdir / "manifest.json"
-            if manifest_path.exists():
-                m = cli.load_manifest(manifest_path)
+        for mdir in (root, run_dir, erc_dir):
+            for m in cli.load_manifest(mdir / "manifest.json")["commands"]:
                 for path, digest in m["outputs"].items():
                     digests[path.replace(str(root), "")] = digest
         return digests

@@ -1,9 +1,10 @@
-import json
+import hashlib
 
 import numpy as np
 import pytest
 
 from fiqlab import cli, margin, rngstreams, synthdata
+from fiqlab.errors import FormatError
 
 
 SYNTH_CFG = """\
@@ -68,6 +69,15 @@ class TestSynth:
                     "--out", workspace / "x.bin"])
         assert code == 1
         assert ":2:" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, workspace, capsys):
+        (workspace / "bad.cfg").write_bytes(b"num_classes=4\nside=\xff\n")
+        code = run(["synth", "--config", workspace / "bad.cfg",
+                    "--out", workspace / "x.bin"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg: not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture
@@ -248,6 +258,19 @@ class TestErc:
         assert code == 2
         assert f"bad.csv:37: {message}" in capsys.readouterr().err
 
+    def test_non_utf8_scores_are_format_error(self, trained, capsys):
+        workspace, ds_path, out_dir = trained
+        scores = workspace / "bad.csv"
+        scores.write_bytes(b"sample_id,score\n0,0.5\n1,\xff\n")
+        code = run(["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--scores", scores,
+                    "--fmr", "0.05", "--nonmated", "120",
+                    "--out", workspace / "e"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 class TestReport:
     def test_weight_csv(self, trained):
@@ -299,20 +322,21 @@ class TestSelfcheck:
         monkeypatch.setattr(cli, "first_random",
                             lambda *a: np.nextafter(real(*a), 1.0))
         assert cli.main(["selfcheck"]) == 3
-        assert "FAIL  flip streams match rng_for" in capsys.readouterr().out
+        assert "FAIL  batched streams match rng_for" in capsys.readouterr().out
 
     def test_detects_diverged_degrade_coins(self, monkeypatch, capsys):
-        real = cli.first_random
+        # synthesis seeds its streams with the class as a per-element
+        # counter; a fault that only such counters meet must show
+        real = rngstreams.stream_states
 
         def off_for_array_counters(seed, tag, counter, indices):
-            out = real(seed, tag, counter, indices)
-            return out if np.ndim(counter) == 0 else np.nextafter(out, 1.0)
+            if np.ndim(counter) != 0:
+                indices = np.asarray(indices) + 1
+            return real(seed, tag, counter, indices)
 
-        monkeypatch.setattr(cli, "first_random", off_for_array_counters)
+        monkeypatch.setattr(rngstreams, "stream_states", off_for_array_counters)
         assert cli.main(["selfcheck"]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL  degrade coins match rng_for" in out
-        assert "PASS  flip streams match rng_for" in out
+        assert "FAIL  batched streams match rng_for" in capsys.readouterr().out
 
     def test_detects_stream_states_off_by_one(self, monkeypatch, capsys):
         real = rngstreams.stream_states
@@ -321,7 +345,7 @@ class TestSelfcheck:
             lambda seed, tag, counter, indices:
                 real(seed, tag, counter, np.asarray(indices) + 1))
         assert cli.main(["selfcheck"]) == 3
-        assert "FAIL  augment streams match rng_for" in capsys.readouterr().out
+        assert "FAIL  batched streams match rng_for" in capsys.readouterr().out
 
     def test_grad_check_command(self, capsys):
         assert cli.main(["grad-check"]) == 0
@@ -332,23 +356,71 @@ class TestManifest:
     def test_replay_reproduces_outputs_bitwise(self, workspace):
         out = workspace / "m1" / "ds.bin"
         run(["synth", "--config", workspace / "synth.cfg", "--out", out])
-        manifest = cli.load_manifest(out.parent / "manifest.json")
+        [record] = cli.load_manifest(out.parent / "manifest.json")["commands"]
         # replay the recorded argv into a new location
         argv = [a.replace(str(out), str(workspace / "m2" / "ds.bin"))
-                for a in manifest["argv"]]
+                for a in record["argv"]]
         assert cli.main(argv) == 0
-        replay = cli.load_manifest(workspace / "m2" / "manifest.json")
-        assert list(manifest["outputs"].values()) == list(replay["outputs"].values())
+        [replay] = cli.load_manifest(workspace / "m2" / "manifest.json")[
+            "commands"]
+        assert list(record["outputs"].values()) == list(replay["outputs"].values())
 
     def test_train_manifest_records_config_and_hashes(self, trained):
         _, _, out_dir = trained
-        manifest = cli.load_manifest(out_dir / "manifest.json")
-        assert manifest["command"] == "train"
-        assert manifest["config"]["variant"] == "ig"
-        assert manifest["config"]["batch_size"] == 8
-        assert manifest["seed"] == 4
-        for path, digest in manifest["outputs"].items():
+        [record] = cli.load_manifest(out_dir / "manifest.json")["commands"]
+        assert record["command"] == "train"
+        assert record["config"]["variant"] == "ig"
+        assert record["config"]["batch_size"] == 8
+        assert record["seed"] == 4
+        for path, digest in record["outputs"].items():
             assert len(digest) == 64
+
+    def test_commands_sharing_a_directory_keep_their_records(self, trained):
+        workspace, ds_path, out_dir = trained
+        ckpt = out_dir / "checkpoint.bin"
+        for out in ("scores.csv", "other.csv"):
+            assert run(["score", "--checkpoint", ckpt, "--dataset", ds_path,
+                        "--out", workspace / out]) == 0
+        assert run(["report", "--checkpoint", ckpt,
+                    "--out", workspace / "weights.csv"]) == 0
+        records = cli.load_manifest(workspace / "manifest.json")["commands"]
+        assert [(r["command"], list(r["outputs"])) for r in records] == [
+            ("synth", [str(ds_path)]),
+            ("score", [str(workspace / "scores.csv")]),
+            ("score", [str(workspace / "other.csv")]),
+            ("report", [str(workspace / "weights.csv")])]
+        assert (records[0]["outputs"][str(ds_path)]
+                == hashlib.sha256(ds_path.read_bytes()).hexdigest())
+
+    def test_rerun_replaces_its_record(self, trained):
+        workspace, ds_path, out_dir = trained
+        first = cli.load_manifest(workspace / "manifest.json")["commands"]
+        ckpt = out_dir / "checkpoint.bin"
+        assert run(["score", "--checkpoint", ckpt, "--dataset", ds_path,
+                    "--out", workspace / "scores.csv"]) == 0
+        # the same file spelled another way
+        again = workspace / ".." / workspace.name / "ds.bin"
+        assert run(["synth", "--config", workspace / "synth.cfg",
+                    "--out", again]) == 0
+        records = cli.load_manifest(workspace / "manifest.json")["commands"]
+        assert [r["command"] for r in records] == ["score", "synth"]
+        assert list(records[1]["outputs"]) == [str(again)]
+        assert (list(records[1]["outputs"].values())
+                == list(first[0]["outputs"].values()))
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[]", '{"command": "synth", "outputs": {}}',
+        '{"commands": [{"command": "synth"}]}', '{"commands": [3]}'])
+    def test_unreadable_manifest_is_format_error(self, workspace, capsys,
+                                                 text):
+        (workspace / "manifest.json").write_text(text)
+        code = run(["synth", "--config", workspace / "synth.cfg",
+                    "--out", workspace / "ds.bin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
+        with pytest.raises(FormatError):
+            cli.load_manifest(workspace / "manifest.json")
 
     def test_inputs_not_mutated(self, workspace):
         ds_path = workspace / "ds.bin"

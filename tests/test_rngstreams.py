@@ -106,5 +106,27 @@ class TestRngsFor:
             seen += 1
         assert seen == idx.size
 
+    @given(WIDE_INT, WIDE_INT,
+           st.lists(st.tuples(WIDE_INT, WIDE_INT), max_size=12),
+           st.floats(0.0, 10.0), st.floats(-5.0, 5.0), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_per_element_counters_and_array_draws(self, seed, tag, pairs,
+                                                  s, a, k):
+        # synthesis seeds one stream per (class, sample) and draws pose
+        # shifts with normal(0, s, 2) and duplicate noise as a k x k block
+        pairs = [(0, 2 ** 40), (2 ** 32 - 1, 0), (2 ** 32 + 7, -1)] + pairs
+        counters = np.array([c for c, _ in pairs], dtype=np.int64)
+        idx = np.array([i for _, i in pairs], dtype=np.int64)
+        seen = 0
+        for (c, i), got in zip(pairs, rngs_for(seed, tag, counters, idx)):
+            want = rng_for(seed, tag, c, i)
+            draws = [(g.normal(0.0, s, 2).tolist(),
+                      g.uniform(a, a + 1.0, (k, k)).tolist(), g.random())
+                     for g in (got, want)]
+            assert draws[0] == draws[1]
+            assert got.bit_generator.state == want.bit_generator.state
+            seen += 1
+        assert seen == len(pairs)
+
     def test_empty_indices(self):
         assert list(rngs_for(1, 2, 3, np.arange(0))) == []

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiqlab import synthdata
+from fiqlab import reference, synthdata
 from fiqlab.errors import ConfigError, DomainError, FormatError
 from fiqlab.rngstreams import (
     T_CLASS_FLAGS,
@@ -202,6 +203,21 @@ class TestClassAtATime:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("cfg, digest", [
+        # the criterion 9 and benchmark replay-probe set
+        (synthdata.SynthConfig(
+            num_classes=8, samples_per_class=6, side=12,
+            duplicate_class_fraction=0.25, pose_spread=0.8,
+            degrade_fraction=0.3, seed=17),
+         "422f63266f2ae4b816c99dcd7bc8a654de0e8bea6d83d6a27a26f99f56dcd2b0"),
+        (reference.reference_synth_config(3001, 0.3, 0.8),
+         "83680c0d07ceabaabe9eff5fe22287513da6ce30d5fee2b8e8bccb10fcf794df"),
+    ])
+    def test_pinned_container_digest(self, tmp_path, cfg, digest):
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(synthdata.gen_dataset(cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_batched_template_matches_one_at_a_time(self):
         grid = rng_for(5, 1).uniform(0.0, 1.0, (12, 12))
         dy, dx = rng_for(5, 2).normal(0.0, 4.0, (2, 9))
@@ -209,6 +225,21 @@ class TestClassAtATime:
         assert got.shape == (9, 17, 17)
         for k in range(9):
             want = per_sample_template(grid, 17, dy[k], dx[k])
+            assert got[k].tobytes() == want.tobytes()
+
+
+class TestDegrade:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("level", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("side", [4, 13, 24])
+    def test_stack_equals_per_image_with_fresh_streams(self, dtype, level,
+                                                        side):
+        imgs = rng_for(7, side).uniform(0.0, 1.0, (5, side, side))
+        imgs = imgs.astype(dtype)
+        got = synthdata.degrade(imgs, level, rng_for(7, 99))
+        assert got.dtype == imgs.dtype and got.shape == imgs.shape
+        for k in range(5):
+            want = synthdata.degrade(imgs[k], level, rng_for(7, 99))
             assert got[k].tobytes() == want.tobytes()
 
 
@@ -494,6 +525,41 @@ class TestContainer:
                                                       2 ** 10, 2 ** 10)
                          + b"\x00" * 64)
         with pytest.raises(FormatError, match="declares"):
+            synthdata.load_dataset(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("nan pixel", "pixel values outside"),
+        ("nan level", "degradation level values outside"),
+        ("flag 7", "class flags must be 0"),
+    ])
+    def test_nan_and_unknown_flags_rejected(self, tmp_path, case, message):
+        # sample 1's record starts after the 19-byte header and sample 0's
+        # record: a u32 label, the f32 level, then the pixels
+        ds = synthdata.gen_dataset(small_cfg())
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        raw = bytearray(path.read_bytes())
+        record = 19 + (8 + 4 * 16 * 16)
+        if case == "nan pixel":
+            ds.images[1, 0, 5] = np.nan
+            raw[record + 8 + 20:record + 8 + 24] = struct.pack("<f", np.nan)
+        elif case == "nan level":
+            ds.degradation_level[1] = np.nan
+            raw[record + 4:record + 8] = struct.pack("<f", np.nan)
+        else:
+            ds.class_flags[2] = 7
+            raw[-6 + 2] = 7
+        with pytest.raises(FormatError, match=message):
+            synthdata.save_dataset(ds, tmp_path / "out.bin")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=message):
+            synthdata.load_dataset(path)
+
+    def test_header_of_no_classes_rejected(self, tmp_path):
+        # 0 classes of 5 samples: a header alone is the whole declared file
+        path = tmp_path / "empty.bin"
+        path.write_bytes(synthdata.MAGIC + struct.pack("<III", 0, 5, 4))
+        with pytest.raises(FormatError, match="no pixels"):
             synthdata.load_dataset(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
