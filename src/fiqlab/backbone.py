@@ -54,6 +54,12 @@ class ForwardCache:
     # the model itself, not its id: a freed model's id can be reused
     model: object = None
 
+    def rows(self, index):
+        """The cache of the rows a slice selects, as views."""
+        return ForwardCache(self.x[index], self.pre_hidden[index],
+                            self.hidden[index], self.embeddings[index],
+                            self.norms[index], self.model)
+
 
 def init_backbone(input_dim, hidden_dim=128, embed_dim=64, rng=None,
                   dtype=np.float64):
@@ -90,7 +96,7 @@ def forward(model, batch):
     hidden = np.maximum(pre_hidden, 0.0)
     pre_norm = hidden @ model.w2 + model.b2
     norms = np.sqrt(np.add.reduce(pre_norm * pre_norm, axis=1))
-    if np.any(norms < NORM_FLOOR):
+    if np.logical_or.reduce(norms < NORM_FLOOR):
         raise DegenerateEmbeddingError(
             f"pre-normalization norm below {NORM_FLOOR}")
     embeddings = pre_norm / norms[:, None]
@@ -99,11 +105,12 @@ def forward(model, batch):
     return embeddings, cache
 
 
-def backward(model, cache, grad_wrt_embeddings):
+def backward(model, cache, grad_wrt_embeddings, out=None):
     """Backpropagate a gradient on the unit-norm embeddings to all
     parameters, keyed like ``MlpBackbone.params()``.  The radial
     component of the gradient is removed per sample before entering the
-    linear layers.
+    linear layers.  ``out``, a dict keyed the same way, receives the
+    gradients in place and is returned.
     """
     if cache.model is not model:
         raise StaleCacheError("cache was produced by a different model")
@@ -113,15 +120,16 @@ def backward(model, cache, grad_wrt_embeddings):
             f"gradient shape {g.shape} does not match cached "
             f"embeddings {cache.embeddings.shape}")
     e = cache.embeddings
-    radial = np.sum(g * e, axis=1, keepdims=True)
+    radial = np.add.reduce(g * e, axis=1, keepdims=True)
     d_pre_norm = (g - radial * e) / cache.norms[:, None]
-    gw2 = cache.hidden.T @ d_pre_norm
-    gb2 = d_pre_norm.sum(axis=0)
+    out = dict.fromkeys(model.params()) if out is None else out
+    out["w2"] = np.matmul(cache.hidden.T, d_pre_norm, out=out["w2"])
+    out["b2"] = np.add.reduce(d_pre_norm, axis=0, out=out["b2"])
     d_hidden = d_pre_norm @ model.w2.T
     d_pre_hidden = d_hidden * (cache.pre_hidden > 0)
-    gw1 = cache.x.T @ d_pre_hidden
-    gb1 = d_pre_hidden.sum(axis=0)
-    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    out["w1"] = np.matmul(cache.x.T, d_pre_hidden, out=out["w1"])
+    out["b1"] = np.add.reduce(d_pre_hidden, axis=0, out=out["b1"])
+    return out
 
 
 @dataclass

@@ -48,6 +48,14 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def manifest_records(out_dir):
+    """The records of ``out_dir/manifest.json`` ([] if there is none).
+    Commands read them before any work too, so a malformed manifest
+    refuses a command (FormatError) before it writes anything."""
+    path = Path(out_dir) / "manifest.json"
+    return load_manifest(path)["commands"] if path.exists() else []
+
+
 def write_manifest(out_dir, command, argv, config, inputs, outputs,
                    seed=None, started=None):
     """Record a command in ``out_dir/manifest.json``, which keeps one
@@ -66,12 +74,11 @@ def write_manifest(out_dir, command, argv, config, inputs, outputs,
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_s": None if started is None else time.time() - started,
     }
-    path = Path(out_dir) / "manifest.json"
-    kept = load_manifest(path)["commands"] if path.exists() else []
     names = {Path(p).name for p in outputs}
-    kept = [r for r in kept if r["command"] != command
+    kept = [r for r in manifest_records(out_dir) if r["command"] != command
             or names.isdisjoint(Path(p).name for p in r["outputs"])]
     manifest = {"commands": kept + [record]}
+    path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
@@ -102,8 +109,9 @@ def cmd_synth(args, argv):
     cfg = build_config(synthdata.SynthConfig, args.config,
                        required=("num_classes", "samples_per_class"),
                        overrides=overrides)
-    dataset = synthdata.gen_dataset(cfg)
     out = Path(args.out)
+    manifest_records(out.parent)
+    dataset = synthdata.gen_dataset(cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     synthdata.save_dataset(dataset, out)
     write_manifest(out.parent, "synth", argv, vars(cfg).copy(),
@@ -119,8 +127,9 @@ def cmd_train(args, argv):
     overrides = {"seed": args.seed}
     cfg = build_config(trainer.TrainConfig, args.config, overrides=overrides)
     cfg = trainer.apply_variant(cfg, args.variant)
-    dataset = synthdata.load_dataset(args.dataset)
     out_dir = Path(args.out)
+    manifest_records(out_dir)
+    dataset = synthdata.load_dataset(args.dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
     state, logs = trainer.run_training(cfg, dataset, checkpoint_dir=out_dir)
     ckpt = out_dir / "checkpoint.bin"
@@ -144,6 +153,8 @@ def cmd_train(args, argv):
 
 def cmd_score(args, argv):
     started = time.time()
+    out = Path(args.out)
+    manifest_records(out.parent)
     state = trainer.checkpoint_load(args.checkpoint)
     dataset = synthdata.load_dataset(args.dataset)
     if dataset.side * dataset.side != state.model.input_dim:
@@ -152,7 +163,6 @@ def cmd_score(args, argv):
             f"dim {state.model.input_dim}")
     emb = evalkit.embed_dataset(state.model, dataset.images)
     scores = quality.predict(state.head, emb)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("sample_id,score\n")
@@ -199,6 +209,8 @@ def cmd_erc(args, argv):
     started = time.time()
     if not 0.0 < args.fmr < 1.0:
         raise ConfigError(f"--fmr must lie in (0, 1), got {args.fmr}")
+    out_dir = Path(args.out)
+    manifest_records(out_dir)
     state = trainer.checkpoint_load(args.checkpoint)
     dataset = synthdata.load_dataset(args.dataset)
     scores = _read_scores_csv(args.scores, dataset.num_samples)
@@ -207,7 +219,6 @@ def cmd_erc(args, argv):
                               nonmated_count=args.nonmated, seed=args.seed or 0)
     sims = evalkit.pair_similarities(emb, pairs)
     curve = evalkit.erc(pairs, sims, scores, args.fmr, grid_step=args.grid_step)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_csv = out_dir / "erc_curve.csv"
     evalkit.write_curve_csv(curve, curve_csv)
@@ -231,8 +242,9 @@ def cmd_erc(args, argv):
 
 def cmd_report(args, argv):
     started = time.time()
-    state = trainer.checkpoint_load(args.checkpoint)
     out = Path(args.out)
+    manifest_records(out.parent)
+    state = trainer.checkpoint_load(args.checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
     variance.export_weights_csv(state.tracker, out)
     write_manifest(out.parent, "report", argv, {},

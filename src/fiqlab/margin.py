@@ -67,22 +67,25 @@ def init_bank(embed_dim, num_classes, scale=64.0, margin=0.5, rng=None,
     return PrototypeBank(weights=w.astype(dtype), scale=scale, margin=margin)
 
 
-def _normalized_columns(bank):
+def normalized_columns(bank):
+    """Unit prototype columns and the norms they were divided by."""
     norms = np.sqrt(np.add.reduce(bank.weights * bank.weights, axis=0))
-    if np.any(norms < _PROTO_NORM_FLOOR):
+    if np.logical_or.reduce(norms < _PROTO_NORM_FLOOR):
         raise NumericError("prototype column with (near-)zero norm")
     return bank.weights / norms, norms
 
 
-def cosines(bank, emb):
+def cosines(bank, emb, normalized=None):
     """Cosine of every (sample, class) pair, clamped to [-1, 1].
 
     Embeddings are expected row-unit-norm; prototypes are normalized
-    here regardless of their stored scale.
+    here regardless of their stored scale, or passed as ``normalized``.
     """
-    normalized, _ = _normalized_columns(bank)
+    if normalized is None:
+        normalized, _ = normalized_columns(bank)
     cos = np.asarray(emb) @ normalized
-    return np.clip(cos, -1.0, 1.0)
+    np.maximum(cos, -1.0, out=cos)  # np.clip without its wrapper
+    return np.minimum(cos, 1.0, out=cos)
 
 
 def ccs_nnccs_batch(cos, labels):
@@ -94,7 +97,7 @@ def ccs_nnccs_batch(cos, labels):
     ccs = cos[rows, labels]
     masked = cos.copy()
     masked[rows, labels] = -np.inf
-    nnccs = masked.max(axis=1)
+    nnccs = np.maximum.reduce(masked, axis=1)
     return ccs, nnccs
 
 
@@ -118,7 +121,7 @@ class MarginLossResult:
     cr: CrBatch
 
 
-def arcface_loss(bank, emb, labels):
+def arcface_loss(bank, emb, labels, cos=None, columns=None, grad_bank=None):
     """Additive-angular-margin cross-entropy, averaged over the batch.
 
     Target logit is scale*cos(theta_y + margin), the rest are
@@ -129,16 +132,20 @@ def arcface_loss(bank, emb, labels):
     an antipodal collapse attractor.  Returns analytic gradients with
     respect to the embeddings and the (unnormalized) prototype matrix,
     plus the CrBatch computed from the unmargined cosines.
+
+    ``cos`` and ``columns`` pass in the cosines of ``emb`` and the
+    bank's normalized_columns; ``grad_bank`` receives that gradient.
     """
     emb = np.asarray(emb)
     labels = np.asarray(labels)
-    normalized, norms = _normalized_columns(bank)
-    cos = np.clip(emb @ normalized, -1.0, 1.0)
+    normalized, norms = columns or normalized_columns(bank)
+    if cos is None:
+        cos = cosines(bank, emb, normalized)
     cr_stats = cr_batch(cos, labels)
 
     b = emb.shape[0]
     rows = np.arange(b)
-    cos_y = cos[rows, labels]
+    cos_y = cr_stats.ccs
     sin_y = np.sqrt(np.maximum(1.0 - cos_y * cos_y, 0.0))
     cos_m = np.cos(bank.margin)
     sin_m = np.sin(bank.margin)
@@ -149,10 +156,11 @@ def arcface_loss(bank, emb, labels):
     logits = bank.scale * cos
     logits[rows, labels] = bank.scale * target
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
     log_probs = shifted - log_z[:, None]
-    loss = float(-log_probs[rows, labels].mean())
+    own = log_probs[rows, labels]  # .mean() without its wrapper
+    loss = float(-own.dtype.type(np.add.reduce(own) / np.intp(b)))
 
     d_logits = np.exp(log_probs)
     d_logits[rows, labels] -= 1.0
@@ -165,8 +173,9 @@ def arcface_loss(bank, emb, labels):
 
     grad_emb = d_cos @ normalized.T
     d_normalized = emb.T @ d_cos
-    radial = np.sum(d_normalized * normalized, axis=0, keepdims=True)
-    grad_bank = (d_normalized - radial * normalized) / norms
+    radial = np.add.reduce(d_normalized * normalized, axis=0, keepdims=True)
+    grad_bank = np.divide(d_normalized - radial * normalized, norms,
+                          out=grad_bank)
 
     return MarginLossResult(loss=loss, grad_emb=grad_emb,
                             grad_bank=grad_bank, cr=cr_stats)

@@ -96,12 +96,12 @@ def weighted_regression_loss(head, emb, cr_targets, class_weights,
     resid = targets - preds
     per_sample = w * smooth_l1(resid, head.beta)
     scale = 1.0 if reduction == "sum" else 1.0 / emb.shape[0]
-    loss = float(per_sample.sum() * scale)
+    loss = float(np.add.reduce(per_sample) * scale)
 
     # d loss / d pred_i; the residual enters as (target - pred).
     d_pred = -scale * w * smooth_l1_grad(resid, head.beta)
     grad_weight = emb.T @ d_pred
-    grad_bias = float(d_pred.sum()) if head.bias is not None else None
+    grad_bias = None if head.bias is None else float(np.add.reduce(d_pred))
     grad_emb = d_pred[:, None] * head.weight[None, :]
     return RegressionLossResult(loss=loss, grad_weight=grad_weight,
                                 grad_bias=grad_bias, grad_emb=grad_emb)

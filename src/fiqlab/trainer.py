@@ -149,6 +149,16 @@ class EpochLog:
     tracker_v: np.ndarray = None
 
 
+def _param_shapes(input_dim, hidden_dim, embed_dim, num_classes, head_bias):
+    """Name -> shape of every trained array, in checkpoint order."""
+    shapes = {"w1": (input_dim, hidden_dim), "b1": (hidden_dim,),
+              "w2": (hidden_dim, embed_dim), "b2": (embed_dim,),
+              "bank_w": (embed_dim, num_classes), "head_w": (embed_dim,)}
+    if head_bias:
+        shapes["head_b"] = (1,)
+    return shapes
+
+
 @dataclass
 class TrainState:
     model: bb.MlpBackbone
@@ -156,6 +166,12 @@ class TrainState:
     head: quality.RegressionHead
     tracker: variance.VarianceTracker
     momentum: dict
+    grads: dict
+    # (params, momentum, grads): one flat float32 array each, in checkpoint
+    # order, that every trained array, momentum buffer and gradient views;
+    # the head_* arrays are the tail from head_start on
+    arena: tuple
+    head_start: int
     epoch: int = 0
     step_in_epoch: int = 0
     global_step: int = 0
@@ -172,11 +188,33 @@ class TrainState:
         return params
 
 
+def _train_state(shapes, tracker, scale, marg, beta):
+    """A TrainState over a zeroed arena laid out as ``shapes``."""
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    # float32 in the checkpoint's byte order: checkpoint_load reads the
+    # file straight into it
+    arena = tuple(np.zeros(sum(sizes.values()), dtype="<f4")
+                  for _ in range(3))
+    (params, momentum, grads), offset = ({}, {}, {}), 0
+    for name, shape in shapes.items():
+        for flat, table in zip(arena, (params, momentum, grads)):
+            table[name] = flat[offset:offset + sizes[name]].reshape(shape)
+        offset += sizes[name]
+    return TrainState(
+        model=bb.MlpBackbone(params["w1"], params["b1"], params["w2"],
+                             params["b2"]),
+        bank=margin.PrototypeBank(params["bank_w"], scale=scale, margin=marg),
+        head=quality.RegressionHead(params["head_w"], params.get("head_b"),
+                                    beta=beta),
+        tracker=tracker, momentum=momentum, grads=grads, arena=arena,
+        head_start=offset - sizes["head_w"] - sizes.get("head_b", 0))
+
+
 def init_train_state(config, dataset):
     steps_per_epoch = dataset.num_samples // config.batch_size
     total_steps = max(1, config.epochs * steps_per_epoch)
-    model = bb.init_backbone(dataset.side * dataset.side,
-                             hidden_dim=config.hidden_dim,
+    input_dim = dataset.side * dataset.side
+    model = bb.init_backbone(input_dim, hidden_dim=config.hidden_dim,
                              embed_dim=config.embed_dim,
                              rng=rng_for(config.seed, T_INIT_BACKBONE),
                              dtype=np.float32)
@@ -184,15 +222,17 @@ def init_train_state(config, dataset):
                             scale=config.scale, margin=config.margin,
                             rng=rng_for(config.seed, T_INIT_BANK),
                             dtype=np.float32)
-    head = quality.init_head(config.embed_dim, with_bias=config.head_bias,
-                             beta=config.beta, dtype=np.float32)
     tracker = variance.init_tracker(dataset.num_classes, total_steps,
                                     alpha_start=config.alpha_start,
                                     alpha_end=config.alpha_end,
                                     dtype=np.float32)
-    state = TrainState(model, bank, head, tracker, momentum={})
-    state.momentum = {name: np.zeros_like(arr)
-                      for name, arr in state.params().items()}
+    state = _train_state(
+        _param_shapes(input_dim, config.hidden_dim, config.embed_dim,
+                      dataset.num_classes, config.head_bias),
+        tracker, config.scale, config.margin, config.beta)
+    # the head starts at zero
+    state.arena[0][:state.head_start] = np.concatenate(
+        [arr.reshape(-1) for arr in (*model.params().values(), bank.weights)])
     return state
 
 
@@ -207,7 +247,7 @@ def sgd_update(param, grad, buffer, lr, momentum, weight_decay):
 
 
 def _finite_or_abort(state, l_arc, l_ig):
-    if np.isfinite(l_arc) and np.isfinite(l_ig):
+    if math.isfinite(l_arc) and math.isfinite(l_ig):
         return
     norms = {name: float(np.linalg.norm(arr))
              for name, arr in state.params().items()}
@@ -226,50 +266,51 @@ def train_step(state, config, clean_batch, aug_batch, lr):
     """One optimization step; see the module docstring for the batch
     semantics.  ``clean_batch``/``aug_batch`` are (images, labels).
 
-    Unsplit (``split_batch=False``), both are the one full batch: it is
-    embedded once, and the margin loss's certainty ratios serve as the
-    regression targets, which are the same bytes a second forward pass
-    would give.
+    A split step embeds clean then augmented rows in one forward pass
+    with one cosine matrix.  Unsplit (``split_batch=False``), both are
+    the one full batch, embedded once; the margin loss's certainty
+    ratios are the regression targets.  Gradients land in state.grads,
+    and SGD runs over the arena's prefix and its head tail.
     """
     clean_imgs, clean_labels = clean_batch
     aug_imgs, aug_labels = aug_batch
-
-    emb_clean, cache_clean = bb.forward(state.model, clean_imgs)
-    arc = margin.arcface_loss(state.bank, emb_clean, clean_labels)
-
-    if config.split_batch:
-        emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
-        cos_aug = margin.cosines(state.bank, emb_aug)
-        cr_aug = margin.cr_batch(cos_aug, aug_labels)
-    else:
-        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
+    split, n = config.split_batch, len(clean_imgs)
+    emb, cache = bb.forward(state.model, np.concatenate(
+        (clean_imgs, aug_imgs)) if split else clean_imgs)
+    clean, aug = slice(0, n), slice(n if split else 0, None)
+    columns = margin.normalized_columns(state.bank)
+    cos = margin.cosines(state.bank, emb, columns[0])
+    grads = state.grads
+    arc = margin.arcface_loss(state.bank, emb[clean], clean_labels,
+                              cos=cos[clean], columns=columns,
+                              grad_bank=grads["bank_w"])
+    cr_aug = margin.cr_batch(cos[aug], aug_labels) if split else arc.cr
 
     variance.update(state.tracker,
                     variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
 
     sample_w = effective_weights(state, config)[aug_labels]
-    reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
+    reg = quality.weighted_regression_loss(state.head, emb[aug], cr_aug.cr,
                                            sample_w,
                                            reduction=config.lig_reduction)
     _finite_or_abort(state, arc.loss, reg.loss)
 
-    grads = bb.backward(state.model, cache_clean, arc.grad_emb)
+    bb.backward(state.model, cache.rows(clean), arc.grad_emb, out=grads)
     if config.propagate_lig_to_backbone and config.lam > 0.0:
-        extra = bb.backward(state.model, cache_aug,
+        extra = bb.backward(state.model, cache.rows(aug),
                             config.lam * reg.grad_emb)
         for name, arr in extra.items():
             grads[name] += arr
-    grads["bank_w"] = arc.grad_bank
-    grads["head_w"] = config.lam * reg.grad_weight
+    np.multiply(reg.grad_weight, config.lam, out=grads["head_w"])
     if reg.grad_bias is not None:
-        # float64 product, rounded once to float32 by the astype below
-        grads["head_b"] = np.array([config.lam * reg.grad_bias])
+        # the float64 product, rounded once to float32
+        grads["head_b"][0] = config.lam * reg.grad_bias
 
-    for name, param in state.params().items():
-        wd = (config.head_weight_decay if name.startswith("head_")
-              else config.weight_decay)
-        sgd_update(param, grads[name].astype(param.dtype, copy=False),
-                   state.momentum[name], lr, config.momentum, wd)
+    flat_p, flat_m, flat_g = state.arena
+    for part, wd in ((slice(0, state.head_start), config.weight_decay),
+                     (slice(state.head_start, None), config.head_weight_decay)):
+        sgd_update(flat_p[part], flat_g[part], flat_m[part], lr,
+                   config.momentum, wd)
 
     state.global_step += 1
     state.last_step = StepInfo(l_arc=arc.loss, l_ig=reg.loss,
@@ -307,6 +348,28 @@ def _tracked_ccs(state, dataset, tracked_idx):
     return cos[np.arange(len(tracked_idx)), labels]
 
 
+def _check_resume(state, config, dataset):
+    """ConfigError unless ``state`` has the hyperparameters of
+    ``config`` and the shape of ``dataset``."""
+    pairs = {
+        "scale": (state.bank.scale, config.scale),
+        "margin": (state.bank.margin, config.margin),
+        "beta": (state.head.beta, config.beta),
+        "alpha_start": (state.tracker.alpha_start, config.alpha_start),
+        "alpha_end": (state.tracker.alpha_end, config.alpha_end),
+        "hidden_dim": (state.model.hidden_dim, config.hidden_dim),
+        "embed_dim": (state.model.embed_dim, config.embed_dim),
+        "head_bias": (state.head.bias is not None, config.head_bias),
+        "input_dim": (state.model.input_dim, dataset.side * dataset.side),
+        "num_classes": (state.bank.num_classes, dataset.num_classes),
+    }
+    wrong = [f"{name} {have!r} (expected {want!r})"
+             for name, (have, want) in pairs.items() if have != want]
+    if wrong:
+        raise ConfigError("resumed state disagrees with the config or "
+                          "dataset: " + ", ".join(wrong))
+
+
 def run_training(config, dataset, state=None, checkpoint_dir=None):
     """Run the full loop; returns (state, epoch logs).
 
@@ -316,10 +379,13 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
     drift of a fixed tracked sample set, the correlation between the
     tracker and the exact oracle variance, and the zero-weight fraction.
     Checkpoints are written at milestone epochs and at the end when
-    ``checkpoint_dir`` is given.
+    ``checkpoint_dir`` is given.  A resumed ``state`` must match the
+    config's hyperparameters and the dataset's shape (ConfigError).
     """
     if state is None:
         state = init_train_state(config, dataset)
+    else:
+        _check_resume(state, config, dataset)
     n = dataset.num_samples
     b = config.batch_size
     steps_per_epoch = n // b
@@ -401,22 +467,13 @@ def write_report_csv(epoch_logs, path):
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def _write_array(fh, arr):
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_array(fh, shape):
-    raw = fh.read(math.prod(shape) * 4)
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-
 def checkpoint_save(state, path):
     """Serialize all parameters, momentum buffers, tracker state, and
     counters.  Round trip is bit-identical because the state is float32.
 
     Layout v1: the header (see ``checkpoint_load``), then as float32 the
-    arrays of ``state.params()`` in order, ``tracker.v``, and the
-    momentum buffers in the same order.  It is frozen: the benchmark's
+    arrays of ``state.params()`` in order (the parameter arena),
+    ``tracker.v``, and the momentum arena.  It is frozen: the benchmark's
     output checks parse it themselves and accept only version 1.
     """
     with open(path, "wb") as fh:
@@ -435,10 +492,8 @@ def checkpoint_save(state, path):
         fh.write(struct.pack("<ddddd", state.bank.scale, state.bank.margin,
                              state.head.beta, state.tracker.alpha_start,
                              state.tracker.alpha_end))
-        params = state.params()
-        for arr in [*params.values(), state.tracker.v,
-                    *(state.momentum[name] for name in params)]:
-            _write_array(fh, arr)
+        for arr in (state.arena[0], state.tracker.v, state.arena[1]):
+            fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def checkpoint_load(path):
@@ -454,11 +509,8 @@ def checkpoint_load(path):
          beta, a_start, a_end) = struct.unpack("<IIIIIBIIQIIddddd", header)
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        shapes = {"w1": (input_dim, hidden_dim), "b1": (hidden_dim,),
-                  "w2": (hidden_dim, embed_dim), "b2": (embed_dim,),
-                  "bank_w": (embed_dim, num_classes), "head_w": (embed_dim,)}
-        if has_bias:
-            shapes["head_b"] = (1,)
+        shapes = _param_shapes(input_dim, hidden_dim, embed_dim,
+                               num_classes, has_bias)
         # Python ints: a product of u32 dimensions cannot wrap
         declared = fh.tell() + 4 * (
             2 * sum(math.prod(shape) for shape in shapes.values())
@@ -467,20 +519,14 @@ def checkpoint_load(path):
         if actual != declared:
             raise FormatError(f"checkpoint is {actual} bytes but its header "
                               f"declares {declared}")
-        params = {name: _read_array(fh, shape)
-                  for name, shape in shapes.items()}
-        v = _read_array(fh, (num_classes,))
-        momentum = {name: _read_array(fh, shape)
-                    for name, shape in shapes.items()}
-    model = bb.MlpBackbone(params["w1"], params["b1"], params["w2"],
-                           params["b2"])
-    bank = margin.PrototypeBank(weights=params["bank_w"], scale=float(scale),
-                                margin=float(marg))
-    head = quality.RegressionHead(weight=params["head_w"],
-                                  bias=params.get("head_b"), beta=float(beta))
-    tracker = variance.VarianceTracker(
-        v=v, step=t_step, total_steps=t_total,
-        alpha_start=float(a_start), alpha_end=float(a_end))
-    return TrainState(model=model, bank=bank, head=head, tracker=tracker,
-                      momentum=momentum, epoch=epoch,
-                      step_in_epoch=step_in_epoch, global_step=global_step)
+        tracker = variance.VarianceTracker(
+            v=np.empty(num_classes, dtype="<f4"), step=t_step,
+            total_steps=t_total, alpha_start=float(a_start),
+            alpha_end=float(a_end))
+        state = _train_state(shapes, tracker, float(scale), float(marg),
+                             float(beta))
+        for arr in (state.arena[0], tracker.v, state.arena[1]):
+            fh.readinto(arr)
+    state.epoch, state.step_in_epoch, state.global_step = (
+        epoch, step_in_epoch, global_step)
+    return state

@@ -81,9 +81,9 @@ def group_ccs_by_class(labels, ccs):
         raise StructuralError(f"negative class index {labels.min()}")
     counts = np.bincount(labels)
     sums = np.bincount(labels, weights=dist)
-    for c in np.flatnonzero(counts >= _PAIRWISE_FROM).tolist():
+    for c in (counts >= _PAIRWISE_FROM).nonzero()[0].tolist():
         sums[c] = dist[labels == c].sum()
-    classes = np.flatnonzero(counts)
+    classes = counts.nonzero()[0]
     return classes, sums[classes] / counts[classes]
 
 
@@ -101,7 +101,7 @@ def update(tracker, grouped):
     classes = np.asarray(classes, dtype=np.int64)
     alpha = alpha_at(tracker)
     outside = (classes < 0) | (classes >= tracker.num_classes)
-    if outside.any():
+    if np.logical_or.reduce(outside):
         raise StructuralError(
             f"class index {int(classes[outside][0])} outside "
             f"[0, {tracker.num_classes})")
@@ -129,7 +129,9 @@ def weights(tracker):
     if sigma < SIGMA_FLOOR:
         return WeightVector(w=np.ones_like(v), mu=mu, sigma=sigma)
     z = (v - mu) / sigma
-    w = 1.0 + np.clip(z, -1.0, 0.0)
+    # np.clip(z, -1.0, 0.0) without its wrapper (1.0 + z is 1.0 for ±0)
+    np.maximum(z, -1.0, out=z)
+    w = 1.0 + np.minimum(z, 0.0, out=z)
     return WeightVector(w=w, mu=mu, sigma=sigma)
 
 

@@ -414,11 +414,14 @@ class TestManifest:
     def test_unreadable_manifest_is_format_error(self, workspace, capsys,
                                                  text):
         (workspace / "manifest.json").write_text(text)
+        before = sorted(workspace.iterdir())
         code = run(["synth", "--config", workspace / "synth.cfg",
                     "--out", workspace / "ds.bin"])
         assert code == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and "Traceback" not in err
+        # refused before any work: no output written
+        assert sorted(workspace.iterdir()) == before
         with pytest.raises(FormatError):
             cli.load_manifest(workspace / "manifest.json")
 

@@ -221,3 +221,90 @@ class TestArcfaceLoss:
         emb = unit_rows(rng_for(5, 46), 6, 5)
         labels = rng_for(5, 47).integers(0, 3, 6)
         self._fd_check(bank, emb, labels)
+
+
+def arcface_loss_with_wrappers(bank, emb, labels):
+    """The margin loss as it was written with numpy's Python-level
+    wrappers (np.clip, .max, .sum, .mean), one bank normalisation per
+    call: the oracle for the wrapper-free margin.arcface_loss."""
+    emb = np.asarray(emb)
+    labels = np.asarray(labels)
+    norms = np.sqrt(np.add.reduce(bank.weights * bank.weights, axis=0))
+    normalized = bank.weights / norms
+    cos = np.clip(emb @ normalized, -1.0, 1.0)
+    cr_stats = margin.cr_batch(cos, labels)
+    b = emb.shape[0]
+    rows = np.arange(b)
+    cos_y = cos[rows, labels]
+    sin_y = np.sqrt(np.maximum(1.0 - cos_y * cos_y, 0.0))
+    cos_m = np.cos(bank.margin)
+    sin_m = np.sin(bank.margin)
+    wrap = cos_y <= np.cos(np.pi - bank.margin)
+    target = np.where(wrap, cos_y - bank.margin * sin_m,
+                      cos_y * cos_m - sin_y * sin_m)
+    logits = bank.scale * cos
+    logits[rows, labels] = bank.scale * target
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    log_probs = shifted - log_z[:, None]
+    loss = float(-log_probs[rows, labels].mean())
+    d_logits = np.exp(log_probs)
+    d_logits[rows, labels] -= 1.0
+    d_logits /= b
+    d_cos = d_logits * bank.scale
+    sin_safe = np.maximum(sin_y, margin.SIN_FLOOR)
+    d_target = np.where(wrap, 1.0, cos_m + sin_m * cos_y / sin_safe)
+    d_cos[rows, labels] = d_logits[rows, labels] * bank.scale * d_target
+    grad_emb = d_cos @ normalized.T
+    d_normalized = emb.T @ d_cos
+    radial = np.sum(d_normalized * normalized, axis=0, keepdims=True)
+    grad_bank = (d_normalized - radial * normalized) / norms
+    return margin.MarginLossResult(loss=loss, grad_emb=grad_emb,
+                                   grad_bank=grad_bank, cr=cr_stats)
+
+
+class TestWrapperFree:
+    """cosines and arcface_loss call ufuncs directly; every float op
+    keeps its order and dtype, so results are bitwise those of the
+    wrapper calls."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(2, 7),
+           st.sampled_from([np.float32, np.float64]),
+           st.floats(0.0, 1.4), st.floats(1.0, 64.0), st.floats(0.5, 2.0))
+    @settings(max_examples=200, deadline=None)
+    # in float32 a row at -1 to every prototype has CR ccs / 0
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_same_bytes_as_wrapper_version(self, seed, b, c, dtype, m, s,
+                                           stretch):
+        rng = rng_for(seed, 48)
+        bank = margin.PrototypeBank(
+            weights=rng.standard_normal((5, c)).astype(dtype), scale=s,
+            margin=m)
+        labels = rng.integers(0, c, b)
+        # rows pointing away from their own prototype reach the
+        # wrapped branch; stretched rows give cosines beyond [-1, 1]
+        emb = unit_rows(rng, b, 5)
+        emb[::2] = -(bank.weights / np.linalg.norm(bank.weights, axis=0)
+                     )[:, labels[::2]].T
+        emb = (emb * stretch).astype(dtype)
+        want = arcface_loss_with_wrappers(bank, emb, labels)
+        columns = margin.normalized_columns(bank)
+        cos = margin.cosines(bank, emb, columns[0])
+        assert cos.tobytes() == np.clip(emb @ columns[0], -1.0,
+                                        1.0).tobytes()
+        grad_bank = np.empty_like(bank.weights)
+        for got in (margin.arcface_loss(bank, emb, labels),
+                    margin.arcface_loss(bank, emb, labels, cos=cos,
+                                        columns=columns,
+                                        grad_bank=grad_bank)):
+            assert np.float64(got.loss).tobytes() == np.float64(
+                want.loss).tobytes()
+            for name in ("grad_emb", "grad_bank"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes()), name
+            for name in ("ccs", "nnccs", "cr"):
+                assert (getattr(got.cr, name).tobytes()
+                        == getattr(want.cr, name).tobytes()), name
+        assert got.grad_bank is grad_bank

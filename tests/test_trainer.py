@@ -1,4 +1,5 @@
 import dataclasses
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -324,6 +325,192 @@ class TestHeadBias:
         assert outputs["table"] == outputs["scalar"]
 
 
+def two_forward_train_step(state, config, clean_batch, aug_batch, lr):
+    """The train step as it was before the parameter arena: a split step
+    embeds each half in a forward pass of its own and normalizes the
+    prototypes once for the margin loss and once for the augmented
+    cosines; gradients are fresh arrays, and sgd_update runs once per
+    parameter array."""
+    clean_imgs, clean_labels = clean_batch
+    aug_imgs, aug_labels = aug_batch
+
+    emb_clean, cache_clean = bb.forward(state.model, clean_imgs)
+    arc = margin.arcface_loss(state.bank, emb_clean, clean_labels)
+
+    if config.split_batch:
+        emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
+        cos_aug = margin.cosines(state.bank, emb_aug)
+        cr_aug = margin.cr_batch(cos_aug, aug_labels)
+    else:
+        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
+
+    variance.update(state.tracker,
+                    variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
+
+    sample_w = trainer.effective_weights(state, config)[aug_labels]
+    reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
+                                           sample_w,
+                                           reduction=config.lig_reduction)
+
+    grads = bb.backward(state.model, cache_clean, arc.grad_emb)
+    if config.propagate_lig_to_backbone and config.lam > 0.0:
+        extra = bb.backward(state.model, cache_aug,
+                            config.lam * reg.grad_emb)
+        for name, arr in extra.items():
+            grads[name] += arr
+    grads["bank_w"] = arc.grad_bank
+    grads["head_w"] = config.lam * reg.grad_weight
+    if reg.grad_bias is not None:
+        grads["head_b"] = np.array([config.lam * reg.grad_bias])
+
+    for name, param in state.params().items():
+        wd = (config.head_weight_decay if name.startswith("head_")
+              else config.weight_decay)
+        trainer.sgd_update(param, grads[name].astype(param.dtype, copy=False),
+                           state.momentum[name], lr, config.momentum, wd)
+
+    state.global_step += 1
+    state.last_step = trainer.StepInfo(
+        l_arc=arc.loss, l_ig=reg.loss, cr_targets=cr_aug.cr,
+        sample_weights=sample_w, ccs_clean=arc.cr.ccs)
+    return state
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("variant", ["ig", "ig-noaug"])
+    @pytest.mark.parametrize("propagate", [False, True])
+    def test_same_bytes_as_two_forward_step(self, dataset, tmp_path,
+                                            monkeypatch, variant, propagate):
+        cfg = trainer.apply_variant(
+            tiny_config(epochs=3, lam=0.3, head_weight_decay=1e-3,
+                        propagate_lig_to_backbone=propagate), variant)
+        calls = []
+        forward = bb.forward
+
+        def counting_forward(model, batch):
+            calls.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(bb, "forward", counting_forward)
+        # 6 steps an epoch; the tracked set and the oracle embed all 48
+        # samples in one call each, outside the step
+        outputs = {}
+        for step in ("arena", "two_forward"):
+            if step == "two_forward":
+                monkeypatch.setattr(trainer, "train_step",
+                                    two_forward_train_step)
+            calls.clear()
+            out = tmp_path / step
+            out.mkdir()
+            _, logs = trainer.run_training(cfg, dataset, checkpoint_dir=out)
+            trainer.write_report_csv(logs, out / "report.csv")
+            outputs[step] = {p.name: p.read_bytes()
+                             for p in sorted(out.iterdir())}
+            steps = [n for n in calls if n < 48]
+            assert steps == ([8] * 18 if step == "arena" else [4] * 36)
+        assert sorted(outputs["arena"]) == ["ckpt_epoch0001.bin",
+                                            "ckpt_epoch0002.bin", "report.csv"]
+        assert outputs["arena"] == outputs["two_forward"]
+
+
+class TestArena:
+    @pytest.mark.parametrize("head_bias", [False, True])
+    @pytest.mark.parametrize("source", ["init", "load"])
+    def test_arrays_are_views_of_one_flat_array(self, dataset, tmp_path,
+                                                head_bias, source):
+        state = trainer.init_train_state(tiny_config(head_bias=head_bias),
+                                         dataset)
+        if source == "load":
+            trainer.checkpoint_save(state, tmp_path / "c.bin")
+            state = trainer.checkpoint_load(tmp_path / "c.bin")
+        names = list(state.params())
+        assert names == ["w1", "b1", "w2", "b2", "bank_w", "head_w"] + (
+            ["head_b"] if head_bias else [])
+        for flat, table in zip(state.arena, (state.params(), state.momentum,
+                                             state.grads)):
+            assert flat.dtype == np.float32 and flat.ndim == 1
+            assert flat.flags.c_contiguous and flat.flags.owndata
+            assert list(table) == names
+            start = flat.__array_interface__["data"][0]
+            offset = 0
+            for name, arr in table.items():
+                assert arr.base is flat, name
+                assert arr.flags.c_contiguous, name
+                assert arr.__array_interface__["data"][0] == start + 4 * offset
+                if name == "head_w":
+                    assert offset == state.head_start
+                offset += arr.size
+            assert offset == flat.size
+        assert all(name.startswith("head_") == (i >= names.index("head_w"))
+                   for i, name in enumerate(names))
+        # writing through a view is seen in the flat array and back
+        state.model.b1[0] = 3.5
+        assert state.arena[0][state.model.w1.size] == 3.5
+
+    def test_train_step_updates_through_the_views(self, dataset):
+        cfg = tiny_config(head_bias=True, lam=0.3)
+        state = run_steps(cfg, dataset, 2)
+        assert state.head.bias[0] != 0.0
+        for flat, table in zip(state.arena, (state.params(), state.momentum,
+                                             state.grads)):
+            assert np.array_equal(
+                np.concatenate([a.reshape(-1) for a in table.values()]), flat)
+
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=6),
+           st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 1.0), st.floats(0.0, 0.99),
+           st.sampled_from([0.0, 5e-4, 1e-3]),
+           st.sampled_from([0.0, 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_sgd_on_two_slices_equals_per_array_calls(self, sizes, seed, lr,
+                                                      momentum, wd, head_wd):
+        rng = rng_for(seed, 93)
+        total = sum(sizes)
+        param, grad, buf = (rng.standard_normal(total).astype(np.float32)
+                            for _ in range(3))
+        head = total - sizes[-1]
+        flat = [param.copy(), grad.copy(), buf.copy()]
+        for part, decay in ((slice(0, head), wd), (slice(head, None), head_wd)):
+            trainer.sgd_update(flat[0][part], flat[1][part], flat[2][part],
+                               lr, momentum, decay)
+        offsets = np.cumsum([0] + sizes)
+        for k, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            p, g, b = param[lo:hi].copy(), grad[lo:hi].copy(), buf[lo:hi].copy()
+            trainer.sgd_update(p, g, b, lr, momentum,
+                               head_wd if k == len(sizes) - 1 else wd)
+            assert p.dtype == b.dtype == np.float32
+            assert p.tobytes() == flat[0][lo:hi].tobytes()
+            assert b.tobytes() == flat[2][lo:hi].tobytes()
+
+
+class TestPinnedBytes:
+    """Checkpoint and report digests of small runs, computed before the
+    parameter arena and the one-forward split step: a speed-up that
+    moves one bit fails here.  They hold for numpy's OpenBLAS at any
+    thread count, since these matmuls are too small to be split."""
+
+    @pytest.mark.parametrize("variant,extra,ckpt,report", [
+        ("ig", {},
+         "eca596e2a212ee47c8d2c71c9f74be3a13a9cc1b56220dd020ae8e182bb2654d",
+         "2c3b6a752bf23eb8148629ab0f01d7154e8fe965c96e08b73ae6b42d2106d72f"),
+        ("ig", {"head_bias": True, "propagate_lig_to_backbone": True},
+         "91cd2ca79cfc75da6956c8f3418e6fbd57fdf684f53ae1a51c6e6fb85090eefa",
+         "4a9033561a93330837eb127fbe081fd35ab32d23721179bd12ce053ffccb620f"),
+        ("cr-aug", {"head_bias": True, "propagate_lig_to_backbone": True},
+         "e70ca2d3db906d713ce9ca75bbc02289f0282ce6e1f363e20f43e29513bb1390",
+         "961edf86d3732176c23cb3d85499c2b2a8cd18c24b3554332bfe299feb4d4365"),
+    ])
+    def test_two_epoch_digests(self, dataset, tmp_path, variant, extra, ckpt,
+                               report):
+        cfg = trainer.apply_variant(tiny_config(epochs=2, **extra), variant)
+        state, logs = trainer.run_training(cfg, dataset)
+        trainer.checkpoint_save(state, tmp_path / "c.bin")
+        trainer.write_report_csv(logs, tmp_path / "report.csv")
+        assert sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == ckpt
+        assert sha256((tmp_path / "report.csv").read_bytes()
+                      ).hexdigest() == report
+
+
 class TestUnsplitStep:
     @pytest.mark.parametrize("variant", ["cr", "cr-aug"])
     @pytest.mark.parametrize("extra", [
@@ -331,8 +518,8 @@ class TestUnsplitStep:
     def test_one_forward_and_same_bytes_as_two(self, dataset, tmp_path,
                                                monkeypatch, variant, extra):
         cfg = trainer.apply_variant(tiny_config(**extra), variant)
-        # Two-forward oracle: a split step given the full batch as both
-        # halves embeds it twice and recomputes the certainty ratios.
+        # Two-forward oracle: the old split step given the full batch as
+        # both halves embeds it twice and recomputes the certainty ratios.
         oracle_cfg = dataclasses.replace(cfg, split_batch=True)
         fast = trainer.init_train_state(cfg, dataset)
         oracle = trainer.init_train_state(cfg, dataset)
@@ -352,7 +539,7 @@ class TestUnsplitStep:
             calls.clear()
             trainer.train_step(fast, cfg, full, full, cfg.lr)
             assert calls == [8]
-            trainer.train_step(oracle, oracle_cfg, full, full, cfg.lr)
+            two_forward_train_step(oracle, oracle_cfg, full, full, cfg.lr)
             assert calls == [8, 8, 8]
             assert np.array_equal(fast.last_step.cr_targets,
                                   oracle.last_step.cr_targets)
@@ -647,6 +834,33 @@ class TestCheckpoint:
         trainer.checkpoint_save(final, tmp_path / "final.bin")
         assert ((tmp_path / "full.bin").read_bytes()
                 == (tmp_path / "final.bin").read_bytes())
+
+    @pytest.mark.parametrize("field,value", [
+        ("scale", 9.0), ("margin", 0.25), ("beta", 0.5),
+        ("alpha_start", 0.8), ("alpha_end", 0.95), ("hidden_dim", 20),
+        ("embed_dim", 12), ("head_bias", True)])
+    def test_resume_refuses_other_config(self, dataset, tmp_path, field,
+                                         value):
+        cfg = tiny_config(epochs=3, lr_milestones=(1,))
+        trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
+        resumed = trainer.checkpoint_load(tmp_path / "ckpt_epoch0001.bin")
+        other = dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            trainer.run_training(other, dataset, state=resumed)
+        assert resumed.global_step == 12
+
+    @pytest.mark.parametrize("field,synth", [
+        ("input_dim", {"side": 10}), ("num_classes", {"num_classes": 7})])
+    def test_resume_refuses_other_dataset(self, dataset, tmp_path, field,
+                                          synth):
+        cfg = tiny_config(epochs=3, lr_milestones=(1,))
+        trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
+        resumed = trainer.checkpoint_load(tmp_path / "ckpt_epoch0001.bin")
+        other = synthdata.gen_dataset(synthdata.SynthConfig(**{
+            "num_classes": 8, "samples_per_class": 6, "side": 12,
+            "seed": 21, **synth}))
+        with pytest.raises(ConfigError, match=field):
+            trainer.run_training(cfg, other, state=resumed)
 
     def test_milestone_checkpoints_written(self, dataset, tmp_path):
         cfg = tiny_config(epochs=5, lr_milestones=(3,))

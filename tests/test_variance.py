@@ -257,3 +257,14 @@ class TestWeightStatistics:
         wv = variance.weights(variance.VarianceTracker(v=v))
         assert np.float64(wv.mu).tobytes() == np.float64(v.mean()).tobytes()
         assert np.float64(wv.sigma).tobytes() == np.float64(v.std()).tobytes()
+
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dtype: hnp.arrays(dtype, st.integers(2, 600),
+                                 elements=st.floats(-1e6, 1e6, width=32))))
+    @settings(max_examples=300, deadline=None)
+    def test_weights_bitwise_as_np_clip(self, v):
+        wv = variance.weights(variance.VarianceTracker(v=v))
+        if wv.sigma >= variance.SIGMA_FLOOR:
+            want = 1.0 + np.clip((v - wv.mu) / wv.sigma, -1.0, 0.0)
+            assert wv.w.dtype == want.dtype
+            assert wv.w.tobytes() == want.tobytes()
