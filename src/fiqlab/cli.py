@@ -125,8 +125,9 @@ def cmd_synth(args, argv):
 def cmd_train(args, argv):
     started = time.time()
     overrides = {"seed": args.seed}
-    cfg = build_config(trainer.TrainConfig, args.config, overrides=overrides)
-    cfg = trainer.apply_variant(cfg, args.variant)
+    cfg = build_config(trainer.TrainConfig, args.config, overrides=overrides,
+                       fixed=trainer.VARIANTS[args.variant],
+                       fixed_by=f"--variant {args.variant}")
     out_dir = Path(args.out)
     manifest_records(out_dir)
     dataset = synthdata.load_dataset(args.dataset)
@@ -140,10 +141,8 @@ def cmd_train(args, argv):
     variance.export_weights_csv(state.tracker, weights_csv)
     outputs = [ckpt, report, weights_csv]
     outputs += sorted(out_dir.glob("ckpt_epoch*.bin"))
-    config_dict = {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in vars(cfg).items()}
-    config_dict["variant"] = args.variant
-    write_manifest(out_dir, "train", argv, config_dict,
+    write_manifest(out_dir, "train", argv,
+                   dict(vars(cfg), variant=args.variant),
                    {"config": args.config, "dataset": args.dataset},
                    outputs, seed=cfg.seed, started=started)
     print(f"trained variant={args.variant} for {cfg.epochs} epochs; "

@@ -49,20 +49,19 @@ def _convert(key, text, target_type, lineno, path):
             return float(text)
         if target_type is str:
             return text
-        if target_type is tuple:
-            if not text or text.lower() in ("auto", "none"):
-                return None
-            return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(
             f"{path}:{lineno}: cannot parse {key}={text!r}") from exc
     raise ConfigError(f"{path}:{lineno}: unsupported type for key {key}")
 
 
-def build_config(cls, path, required=(), overrides=None):
+def build_config(cls, path, required=(), overrides=None, fixed=None,
+                 fixed_by=None):
     """Instantiate dataclass ``cls`` from a key=value file; each value
-    is parsed as its field's annotated type.  ``overrides`` are applied
-    after the file (CLI flags beat file values).
+    is parsed as its field's annotated type.  ``fixed`` values, set by
+    ``fixed_by``, are applied after the file, and a file value that
+    differs from one is a ConfigError.  ``overrides`` are applied last
+    (CLI flags beat file values).
     """
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     values = {}
@@ -70,6 +69,10 @@ def build_config(cls, path, required=(), overrides=None):
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _convert(key, text, types[key], lineno, path)
+    for key, value in (fixed or {}).items():
+        if values.setdefault(key, value) != value:
+            raise ConfigError(f"{path}: {key}={values[key]!r} disagrees with "
+                              f"{fixed_by}, which sets {key}={value!r}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     for key in required:

@@ -17,23 +17,10 @@ from .errors import DomainError, StructuralError
 @dataclass
 class RegressionHead:
     weight: np.ndarray
-    # None, or a (1,) array of the weight's dtype, updated in place
-    bias: np.ndarray | None = None
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise DomainError("beta must be positive")
 
     @property
     def embed_dim(self):
         return self.weight.shape[0]
-
-
-def init_head(embed_dim, with_bias=False, beta=1.0, dtype=np.float64):
-    return RegressionHead(weight=np.zeros(embed_dim, dtype=dtype),
-                          bias=np.zeros(1, dtype=dtype) if with_bias else None,
-                          beta=beta)
 
 
 def predict(head, emb):
@@ -43,10 +30,7 @@ def predict(head, emb):
         raise StructuralError(
             f"embeddings of shape {emb.shape} do not match head dim "
             f"{head.embed_dim}")
-    scores = emb @ head.weight
-    if head.bias is not None:
-        scores = scores + head.bias
-    return scores
+    return emb @ head.weight
 
 
 def smooth_l1(d, beta=1.0):
@@ -70,7 +54,6 @@ def smooth_l1_grad(d, beta=1.0):
 class RegressionLossResult:
     loss: float
     grad_weight: np.ndarray
-    grad_bias: float | None
     grad_emb: np.ndarray
 
 
@@ -94,14 +77,13 @@ def weighted_regression_loss(head, emb, cr_targets, class_weights,
         raise StructuralError("targets/weights must be one value per sample")
 
     resid = targets - preds
-    per_sample = w * smooth_l1(resid, head.beta)
+    per_sample = w * smooth_l1(resid)
     scale = 1.0 if reduction == "sum" else 1.0 / emb.shape[0]
     loss = float(np.add.reduce(per_sample) * scale)
 
     # d loss / d pred_i; the residual enters as (target - pred).
-    d_pred = -scale * w * smooth_l1_grad(resid, head.beta)
+    d_pred = -scale * w * smooth_l1_grad(resid)
     grad_weight = emb.T @ d_pred
-    grad_bias = None if head.bias is None else float(np.add.reduce(d_pred))
     grad_emb = d_pred[:, None] * head.weight[None, :]
     return RegressionLossResult(loss=loss, grad_weight=grad_weight,
-                                grad_bias=grad_bias, grad_emb=grad_emb)
+                                grad_emb=grad_emb)

@@ -52,26 +52,30 @@ CKPT_VERSION = 1
 # Rows one _build_half call makes at most, unless one step needs more.
 _BLOCK_ROWS = 1024
 
+# SGD momentum, and the weight decay of every array but the head's (0)
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+
+# The v1 header: magic, version, input, hidden and embedding widths, class
+# count, head-bias flag (always 0), epoch, step in epoch, global step,
+# tracker step and total steps, then as float64 scale, margin, Smooth-L1
+# beta (always 1.0), alpha start and alpha end.
+_CKPT_HEADER = struct.Struct("<8sIIIIIBIIQIIddddd")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 64
     lam: float = 10.0
     lr: float = 0.1
-    lr_milestones: tuple = None
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    head_weight_decay: float = 0.0
     epochs: int = 30
     augment_p: float = 0.3
     seed: int = 0
     propagate_lig_to_backbone: bool = False
-    beta: float = 1.0
     scale: float = 64.0
     margin: float = 0.5
     embed_dim: int = 64
     hidden_dim: int = 128
-    head_bias: bool = False
     lig_reduction: str = "sum"
     split_batch: bool = True
     use_ig_weights: bool = True
@@ -81,25 +85,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ConfigError("batch_size must be an even number >= 2")
-        if self.lam < 0.0:
-            raise ConfigError("lam must be >= 0")
+        # each comparison is false for NaN
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("lam must be finite and >= 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and > 0")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError("scale must be finite and > 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if not 0.0 <= self.augment_p <= 1.0:
-            raise ConfigError("augment_p must lie in [0, 1]")
+        if self.hidden_dim < 1 or self.embed_dim < 1:
+            raise ConfigError("hidden_dim and embed_dim must be >= 1")
+        for name in ("augment_p", "alpha_start", "alpha_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
         if self.lig_reduction not in ("sum", "mean"):
             raise ConfigError("lig_reduction must be 'sum' or 'mean'")
-        ms = self.lr_milestones
-        if ms is not None:
-            if list(ms) != sorted(set(ms)):
-                raise ConfigError("lr_milestones must be strictly increasing")
-            if any(m < 1 or m >= self.epochs for m in ms):
-                raise ConfigError("lr_milestones must lie in [1, epochs)")
 
     def milestones(self):
-        """Resolved milestone epochs (60% and 80% of the run if unset)."""
-        if self.lr_milestones is not None:
-            return tuple(self.lr_milestones)
+        """The learning-rate milestone epochs: 60% and 80% of the run."""
         auto = {int(np.floor(0.6 * self.epochs)),
                 int(np.floor(0.8 * self.epochs))}
         return tuple(sorted(m for m in auto if 1 <= m < self.epochs))
@@ -149,14 +153,11 @@ class EpochLog:
     tracker_v: np.ndarray = None
 
 
-def _param_shapes(input_dim, hidden_dim, embed_dim, num_classes, head_bias):
+def _param_shapes(input_dim, hidden_dim, embed_dim, num_classes):
     """Name -> shape of every trained array, in checkpoint order."""
-    shapes = {"w1": (input_dim, hidden_dim), "b1": (hidden_dim,),
-              "w2": (hidden_dim, embed_dim), "b2": (embed_dim,),
-              "bank_w": (embed_dim, num_classes), "head_w": (embed_dim,)}
-    if head_bias:
-        shapes["head_b"] = (1,)
-    return shapes
+    return {"w1": (input_dim, hidden_dim), "b1": (hidden_dim,),
+            "w2": (hidden_dim, embed_dim), "b2": (embed_dim,),
+            "bank_w": (embed_dim, num_classes), "head_w": (embed_dim,)}
 
 
 @dataclass
@@ -169,7 +170,7 @@ class TrainState:
     grads: dict
     # (params, momentum, grads): one flat float32 array each, in checkpoint
     # order, that every trained array, momentum buffer and gradient views;
-    # the head_* arrays are the tail from head_start on
+    # head_w is the tail from head_start on
     arena: tuple
     head_start: int
     epoch: int = 0
@@ -183,12 +184,10 @@ class TrainState:
         params = self.model.params()
         params["bank_w"] = self.bank.weights
         params["head_w"] = self.head.weight
-        if self.head.bias is not None:
-            params["head_b"] = self.head.bias
         return params
 
 
-def _train_state(shapes, tracker, scale, marg, beta):
+def _train_state(shapes, tracker, scale, marg):
     """A TrainState over a zeroed arena laid out as ``shapes``."""
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
     # float32 in the checkpoint's byte order: checkpoint_load reads the
@@ -204,10 +203,9 @@ def _train_state(shapes, tracker, scale, marg, beta):
         model=bb.MlpBackbone(params["w1"], params["b1"], params["w2"],
                              params["b2"]),
         bank=margin.PrototypeBank(params["bank_w"], scale=scale, margin=marg),
-        head=quality.RegressionHead(params["head_w"], params.get("head_b"),
-                                    beta=beta),
+        head=quality.RegressionHead(params["head_w"]),
         tracker=tracker, momentum=momentum, grads=grads, arena=arena,
-        head_start=offset - sizes["head_w"] - sizes.get("head_b", 0))
+        head_start=offset - sizes["head_w"])
 
 
 def init_train_state(config, dataset):
@@ -228,8 +226,8 @@ def init_train_state(config, dataset):
                                     dtype=np.float32)
     state = _train_state(
         _param_shapes(input_dim, config.hidden_dim, config.embed_dim,
-                      dataset.num_classes, config.head_bias),
-        tracker, config.scale, config.margin, config.beta)
+                      dataset.num_classes),
+        tracker, config.scale, config.margin)
     # the head starts at zero
     state.arena[0][:state.head_start] = np.concatenate(
         [arr.reshape(-1) for arr in (*model.params().values(), bank.weights)])
@@ -302,15 +300,11 @@ def train_step(state, config, clean_batch, aug_batch, lr):
         for name, arr in extra.items():
             grads[name] += arr
     np.multiply(reg.grad_weight, config.lam, out=grads["head_w"])
-    if reg.grad_bias is not None:
-        # the float64 product, rounded once to float32
-        grads["head_b"][0] = config.lam * reg.grad_bias
 
     flat_p, flat_m, flat_g = state.arena
-    for part, wd in ((slice(0, state.head_start), config.weight_decay),
-                     (slice(state.head_start, None), config.head_weight_decay)):
-        sgd_update(flat_p[part], flat_g[part], flat_m[part], lr,
-                   config.momentum, wd)
+    for part, wd in ((slice(0, state.head_start), WEIGHT_DECAY),
+                     (slice(state.head_start, None), 0.0)):
+        sgd_update(flat_p[part], flat_g[part], flat_m[part], lr, MOMENTUM, wd)
 
     state.global_step += 1
     state.last_step = StepInfo(l_arc=arc.loss, l_ig=reg.loss,
@@ -354,12 +348,10 @@ def _check_resume(state, config, dataset):
     pairs = {
         "scale": (state.bank.scale, config.scale),
         "margin": (state.bank.margin, config.margin),
-        "beta": (state.head.beta, config.beta),
         "alpha_start": (state.tracker.alpha_start, config.alpha_start),
         "alpha_end": (state.tracker.alpha_end, config.alpha_end),
         "hidden_dim": (state.model.hidden_dim, config.hidden_dim),
         "embed_dim": (state.model.embed_dim, config.embed_dim),
-        "head_bias": (state.head.bias is not None, config.head_bias),
         "input_dim": (state.model.input_dim, dataset.side * dataset.side),
         "num_classes": (state.bank.num_classes, dataset.num_classes),
     }
@@ -471,46 +463,43 @@ def checkpoint_save(state, path):
     """Serialize all parameters, momentum buffers, tracker state, and
     counters.  Round trip is bit-identical because the state is float32.
 
-    Layout v1: the header (see ``checkpoint_load``), then as float32 the
-    arrays of ``state.params()`` in order (the parameter arena),
-    ``tracker.v``, and the momentum arena.  It is frozen: the benchmark's
-    output checks parse it themselves and accept only version 1.
+    Layout v1: ``_CKPT_HEADER``, then as float32 the arrays of
+    ``state.params()`` in order (the parameter arena), ``tracker.v``, and
+    the momentum arena.  It is frozen: the benchmark's output checks parse
+    it themselves and accept only version 1.
     """
     with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<IIII", state.model.input_dim,
-                             state.model.hidden_dim, state.model.embed_dim,
-                             state.bank.num_classes))
-        fh.write(struct.pack("<B", 1 if state.head.bias is not None else 0))
-        fh.write(struct.pack("<IIQ", state.epoch, state.step_in_epoch,
-                             state.global_step))
-        fh.write(struct.pack("<II", state.tracker.step,
-                             state.tracker.total_steps))
         # hyperparameter scalars keep full precision; only learned
         # parameter arrays are stored as f32
-        fh.write(struct.pack("<ddddd", state.bank.scale, state.bank.margin,
-                             state.head.beta, state.tracker.alpha_start,
-                             state.tracker.alpha_end))
+        fh.write(_CKPT_HEADER.pack(
+            CKPT_MAGIC, CKPT_VERSION, state.model.input_dim,
+            state.model.hidden_dim, state.model.embed_dim,
+            state.bank.num_classes, 0, state.epoch, state.step_in_epoch,
+            state.global_step, state.tracker.step, state.tracker.total_steps,
+            state.bank.scale, state.bank.margin, 1.0,
+            state.tracker.alpha_start, state.tracker.alpha_end))
         for arr in (state.arena[0], state.tracker.v, state.arena[1]):
             fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def checkpoint_load(path):
     with open(path, "rb") as fh:
-        magic = fh.read(len(CKPT_MAGIC))
+        header = fh.read(_CKPT_HEADER.size)
+        magic = header[:len(CKPT_MAGIC)]
         if magic != CKPT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-        header = fh.read(4 + 16 + 1 + 16 + 8 + 40)
-        if len(header) != 85:
+        if len(header) != _CKPT_HEADER.size:
             raise FormatError("truncated checkpoint header", offset=fh.tell())
-        (version, input_dim, hidden_dim, embed_dim, num_classes, has_bias,
+        (_, version, input_dim, hidden_dim, embed_dim, num_classes, has_bias,
          epoch, step_in_epoch, global_step, t_step, t_total, scale, marg,
-         beta, a_start, a_end) = struct.unpack("<IIIIIBIIQIIddddd", header)
+         beta, a_start, a_end) = _CKPT_HEADER.unpack(header)
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        shapes = _param_shapes(input_dim, hidden_dim, embed_dim,
-                               num_classes, has_bias)
+        # the program writes no head bias and a Smooth-L1 beta of 1
+        if has_bias != 0 or beta != 1.0:
+            raise FormatError(f"checkpoint has head-bias flag {has_bias} and "
+                              f"beta {beta}; only 0 and 1.0 are supported")
+        shapes = _param_shapes(input_dim, hidden_dim, embed_dim, num_classes)
         # Python ints: a product of u32 dimensions cannot wrap
         declared = fh.tell() + 4 * (
             2 * sum(math.prod(shape) for shape in shapes.values())
@@ -523,8 +512,7 @@ def checkpoint_load(path):
             v=np.empty(num_classes, dtype="<f4"), step=t_step,
             total_steps=t_total, alpha_start=float(a_start),
             alpha_end=float(a_end))
-        state = _train_state(shapes, tracker, float(scale), float(marg),
-                             float(beta))
+        state = _train_state(shapes, tracker, float(scale), float(marg))
         for arr in (state.arena[0], tracker.v, state.arena[1]):
             fh.readinto(arr)
     state.epoch, state.step_in_epoch, state.global_step = (

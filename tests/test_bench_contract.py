@@ -33,17 +33,15 @@ def test_traced_function_exists(module, function):
     assert callable(fn), f"fiqlab.{module}.{function}"
 
 
-@pytest.mark.parametrize("head_bias", [False, True])
-def test_checkpoint_parses_as_the_benchmark_reads_it(tmp_path, head_bias):
+def test_checkpoint_parses_as_the_benchmark_reads_it(tmp_path):
     ds = synthdata.gen_dataset(synthdata.SynthConfig(
         num_classes=8, samples_per_class=6, side=12, seed=21))
     cfg = trainer.TrainConfig(batch_size=8, epochs=1, embed_dim=16,
-                              hidden_dim=24, scale=8.0, margin=0.3,
-                              head_bias=head_bias)
+                              hidden_dim=24, scale=8.0, margin=0.3)
     state, _ = trainer.run_training(cfg, ds)
     trainer.checkpoint_save(state, tmp_path / "ckpt.bin")
     ckpt = load("checks").read_checkpoint(tmp_path / "ckpt.bin")
-    assert ckpt["has_bias"] == head_bias
+    assert not ckpt["has_bias"]
     assert ckpt["global_step"] == state.global_step
     assert np.array_equal(ckpt["v"], state.tracker.v)
     keys = {"bank_w": "bank"}  # the benchmark's name for the prototypes

@@ -1,10 +1,16 @@
 import hashlib
+import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fiqlab import cli, margin, rngstreams, synthdata
+from fiqlab import cli, margin, rngstreams, synthdata, trainer
+from fiqlab.configio import build_config
 from fiqlab.errors import FormatError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 SYNTH_CFG = """\
@@ -39,6 +45,21 @@ def workspace(tmp_path):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def test_readme_walkthrough_configs_build(tmp_path):
+    """The config files the README's CLI walkthrough writes are accepted,
+    so a key removed from a config class fails here."""
+    heredocs = dict(re.findall(r"^cat > (\S+) <<EOF\n(.*?)^EOF$",
+                               README.read_text(encoding="utf-8"),
+                               re.MULTILINE | re.DOTALL))
+    assert sorted(heredocs) == ["synth.cfg", "train.cfg"]
+    for name, cls, required in [
+            ("synth.cfg", synthdata.SynthConfig,
+             ("num_classes", "samples_per_class")),
+            ("train.cfg", trainer.TrainConfig, ())]:
+        (tmp_path / name).write_text(heredocs[name])
+        build_config(cls, tmp_path / name, required=required)
 
 
 class TestSynth:
@@ -117,6 +138,48 @@ class TestTrain:
                       "--dataset", "x", "--out", "y", "--variant", "bogus"])
         assert exc.value.code == 2  # argparse usage exit
 
+    @pytest.mark.parametrize("line", [
+        "hidden_dim=-1", "hidden_dim=0", "embed_dim=0", "lr=nan", "lam=nan",
+        "lam=-1", "scale=nan", "alpha_start=2"])
+    def test_out_of_range_value_usage_error(self, workspace, capsys, line):
+        ds_path = workspace / "ds.bin"
+        run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
+        (workspace / "bad.cfg").write_text(TRAIN_CFG + line + "\n")
+        code = run(["train", "--config", workspace / "bad.cfg",
+                    "--dataset", ds_path, "--out", workspace / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert line.partition("=")[0] in err
+        assert "Traceback" not in err
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("line,variant,message", [
+        ("augment_p=0.5", "cr",
+         "augment_p=0.5 disagrees with --variant cr, which sets "
+         "augment_p=0.0"),
+        ("split_batch=false", "ig",
+         "split_batch=False disagrees with --variant ig, which sets "
+         "split_batch=True")])
+    def test_variant_refuses_other_file_value(self, workspace, capsys, line,
+                                              variant, message):
+        ds_path = workspace / "ds.bin"
+        run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
+        (workspace / "bad.cfg").write_text(TRAIN_CFG + line + "\n")
+        code = run(["train", "--config", workspace / "bad.cfg",
+                    "--dataset", ds_path, "--out", workspace / "o",
+                    "--variant", variant])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (workspace / "o").exists()
+
+    def test_variant_accepts_its_own_file_value(self, workspace):
+        ds_path = workspace / "ds.bin"
+        run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
+        (workspace / "cr.cfg").write_text(TRAIN_CFG + "augment_p=0\n")
+        assert run(["train", "--config", workspace / "cr.cfg",
+                    "--dataset", ds_path, "--out", workspace / "o",
+                    "--variant", "cr"]) == 0
+
     def test_missing_dataset_is_data_error(self, workspace):
         code = run(["train", "--config", workspace / "train.cfg",
                     "--dataset", workspace / "nope.bin",
@@ -136,6 +199,23 @@ class TestScore:
         lines = s1.read_text().strip().splitlines()
         assert lines[0] == "sample_id,score"
         assert len(lines) == 1 + 36
+
+    @pytest.mark.parametrize("offset,value", [
+        (28, b"\x01"),                      # head-bias flag
+        (69, struct.pack("<d", 0.5))],      # Smooth-L1 beta
+        ids=["head-bias", "beta"])
+    def test_head_bias_or_other_beta_is_data_error(self, trained, capsys,
+                                                   offset, value):
+        workspace, ds_path, out_dir = trained
+        raw = bytearray((out_dir / "checkpoint.bin").read_bytes())
+        raw[offset:offset + len(value)] = value
+        bad = workspace / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        code = run(["score", "--checkpoint", bad, "--dataset", ds_path,
+                    "--out", workspace / "s.csv"])
+        assert code == 2
+        assert "head-bias flag" in capsys.readouterr().err
+        assert not (workspace / "s.csv").exists()
 
     def test_dimension_mismatch_rejected(self, trained, tmp_path):
         workspace, ds_path, out_dir = trained

@@ -15,12 +15,12 @@ def unit_rows(rng, b, d):
 
 class TestPredict:
     def test_zero_weight_all_zero(self):
-        head = quality.init_head(8)
+        head = quality.RegressionHead(weight=np.zeros(8))
         emb = unit_rows(rng_for(0, 70), 5, 8)
         assert np.all(quality.predict(head, emb) == 0.0)
 
     def test_basis_weight_projects_coordinate(self):
-        head = quality.init_head(6)
+        head = quality.RegressionHead(weight=np.zeros(6))
         head.weight[2] = 1.0
         emb = unit_rows(rng_for(0, 71), 4, 6)
         np.testing.assert_array_equal(quality.predict(head, emb), emb[:, 2])
@@ -32,13 +32,9 @@ class TestPredict:
         assert np.array_equal(scores[:3], scores[3:])
 
     def test_dim_mismatch(self):
-        head = quality.init_head(8)
+        head = quality.RegressionHead(weight=np.zeros(8))
         with pytest.raises(StructuralError):
             quality.predict(head, np.zeros((2, 5)))
-
-    def test_bias_added(self):
-        head = quality.RegressionHead(weight=np.zeros(4), bias=0.25)
-        np.testing.assert_allclose(quality.predict(head, np.zeros((3, 4))), 0.25)
 
 
 class TestSmoothL1:
@@ -150,40 +146,32 @@ class TestWeightedRegressionLoss:
                                              self.targets, np.ones(10),
                                              reduction="median")
 
-    @pytest.mark.parametrize("with_bias,beta", [(False, 1.0), (True, 0.4)])
-    def test_gradients_match_finite_differences(self, with_bias, beta):
+    def test_gradients_match_finite_differences(self):
         rng = rng_for(2, 78)
         emb = unit_rows(rng, 8, 5)
         targets = rng.uniform(-0.5, 1.5, 8)
         w = rng.uniform(0, 1, 8)
-        head = quality.RegressionHead(
-            weight=rng.standard_normal(5) * 0.3,
-            bias=0.1 if with_bias else None, beta=beta)
+        head = quality.RegressionHead(weight=rng.standard_normal(5) * 0.3)
         res = quality.weighted_regression_loss(head, emb, targets, w)
         step = 1e-4
 
-        def loss_of(weight, bias, e):
-            h = quality.RegressionHead(weight=weight, bias=bias, beta=beta)
+        def loss_of(weight, e):
+            h = quality.RegressionHead(weight=weight)
             return quality.weighted_regression_loss(h, e, targets, w).loss
 
         worst = 0.0
         for k in range(5):
             w1 = head.weight.copy(); w1[k] += step
             w2 = head.weight.copy(); w2[k] -= step
-            num = (loss_of(w1, head.bias, emb) - loss_of(w2, head.bias, emb)) / (2 * step)
+            num = (loss_of(w1, emb) - loss_of(w2, emb)) / (2 * step)
             worst = max(worst, abs(num - res.grad_weight[k])
                         / max(abs(num), abs(res.grad_weight[k]), 1e-6))
-        if with_bias:
-            num = (loss_of(head.weight, head.bias + step, emb)
-                   - loss_of(head.weight, head.bias - step, emb)) / (2 * step)
-            worst = max(worst, abs(num - res.grad_bias)
-                        / max(abs(num), abs(res.grad_bias), 1e-6))
         flat = emb.size
         for k in rng_for(2, 79).choice(flat, size=20, replace=False):
             e1 = emb.copy().reshape(-1); e1[k] += step
             e2 = emb.copy().reshape(-1); e2[k] -= step
-            num = (loss_of(head.weight, head.bias, e1.reshape(emb.shape))
-                   - loss_of(head.weight, head.bias, e2.reshape(emb.shape))) / (2 * step)
+            num = (loss_of(head.weight, e1.reshape(emb.shape))
+                   - loss_of(head.weight, e2.reshape(emb.shape))) / (2 * step)
             ana = res.grad_emb.reshape(-1)[k]
             worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-6))
         assert worst < 1e-4, worst

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 from hashlib import sha256
 
 import numpy as np
@@ -36,9 +37,20 @@ class TestConfig:
         {"epochs": -2},
         {"augment_p": 1.5},
         {"lig_reduction": "median"},
-        {"lr_milestones": (3, 2)},
-        {"lr_milestones": (0, 1)},
-        {"lr_milestones": (1, 99)},
+        {"hidden_dim": -1},
+        {"hidden_dim": 0},
+        {"embed_dim": 0},
+        {"lr": float("nan")},
+        {"lr": 0.0},
+        {"lr": float("inf")},
+        {"lam": float("nan")},
+        {"lam": float("inf")},
+        {"scale": float("nan")},
+        {"scale": 0.0},
+        {"alpha_start": 2.0},
+        {"alpha_start": float("nan")},
+        {"alpha_end": -0.1},
+        {"augment_p": float("nan")},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -56,12 +68,11 @@ class TestConfig:
 
     def test_parse_file_with_overrides(self, tmp_path):
         path = tmp_path / "train.cfg"
-        path.write_text("batch_size=16\nlam=2.5\nlr_milestones=3,4\n"
+        path.write_text("batch_size=16\nlam=2.5\n"
                         "lig_reduction=mean\nepochs=6\n# comment\n\n")
         cfg = build_config(trainer.TrainConfig, path, overrides={"seed": 42})
         assert cfg.batch_size == 16
         assert cfg.lam == 2.5
-        assert cfg.lr_milestones == (3, 4)
         assert cfg.lig_reduction == "mean"
         assert cfg.seed == 42
 
@@ -166,8 +177,8 @@ class TestTrainStep:
             for name in ("w1", "b1", "w2", "b2", "bank_w"):
                 trainer.sgd_update(params[name],
                                    grads[name].astype(np.float32),
-                                   ref.momentum[name], cfg.lr, cfg.momentum,
-                                   cfg.weight_decay)
+                                   ref.momentum[name], cfg.lr,
+                                   trainer.MOMENTUM, trainer.WEIGHT_DECAY)
         for name in ("w1", "b1", "w2", "b2", "bank_w"):
             assert np.array_equal(state.params()[name],
                                   ref.params()[name]), name
@@ -242,88 +253,6 @@ class TestTrainStep:
         with pytest.raises(NumericError):
             trainer.train_step(state, cfg, clean, clean, cfg.lr)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_abort_report_names_head_bias(self, dataset):
-        cfg = tiny_config(head_bias=True)
-        state = trainer.init_train_state(cfg, dataset)
-        state.model.w2[:] = np.inf
-        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
-                                    flips(cfg, 0, dataset))
-        with pytest.raises(NumericError, match="'head_b': 0.0"):
-            trainer.train_step(state, cfg, clean, clean, cfg.lr)
-
-
-def scalar_bias_train_step(state, config, clean_batch, aug_batch, lr):
-    """The train step with a scalar head bias, as it was before the
-    parameter table: the bias gradient is
-    ``lam * grad_bias`` in float64 rounded once to float32, and the bias
-    goes through a one-element array and back to a float32 scalar."""
-    (clean_imgs, clean_labels), (aug_imgs, aug_labels) = clean_batch, aug_batch
-    emb_clean, cache_clean = bb.forward(state.model, clean_imgs)
-    arc = margin.arcface_loss(state.bank, emb_clean, clean_labels)
-    if config.split_batch:
-        emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
-        cr_aug = margin.cr_batch(margin.cosines(state.bank, emb_aug),
-                                 aug_labels)
-    else:
-        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
-    variance.update(state.tracker,
-                    variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
-    if config.use_ig_weights:
-        sample_w = variance.weights(state.tracker).w[aug_labels]
-    else:
-        sample_w = np.ones(len(aug_labels), dtype=np.float32)
-    reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
-                                           sample_w,
-                                           reduction=config.lig_reduction)
-    grads = bb.backward(state.model, cache_clean, arc.grad_emb)
-    if config.propagate_lig_to_backbone:
-        extra = bb.backward(state.model, cache_aug, config.lam * reg.grad_emb)
-        for name in grads:
-            grads[name] += extra[name]
-    grads["bank_w"] = arc.grad_bank
-    grads["head_w"] = config.lam * reg.grad_weight
-    params = dict(state.model.params(), bank_w=state.bank.weights,
-                  head_w=state.head.weight)
-    for name, param in params.items():
-        wd = (config.head_weight_decay if name == "head_w"
-              else config.weight_decay)
-        trainer.sgd_update(param, grads[name].astype(np.float32),
-                           state.momentum[name], lr, config.momentum, wd)
-    gb = np.array([config.lam * reg.grad_bias], dtype=np.float32)
-    bias = np.array([np.float32(state.head.bias[0])], dtype=np.float32)
-    trainer.sgd_update(bias, gb, state.momentum["head_b"], lr,
-                       config.momentum, config.head_weight_decay)
-    state.head.bias[0] = np.float32(bias[0])
-    state.global_step += 1
-    state.last_step = trainer.StepInfo(
-        l_arc=arc.loss, l_ig=reg.loss, cr_targets=cr_aug.cr,
-        sample_weights=sample_w, ccs_clean=arc.cr.ccs)
-
-
-class TestHeadBias:
-    @pytest.mark.parametrize("variant", ["ig", "cr-aug"])
-    @pytest.mark.parametrize("propagate", [False, True])
-    def test_same_bytes_as_scalar_bias_step(self, dataset, tmp_path,
-                                            monkeypatch, variant, propagate):
-        cfg = trainer.apply_variant(
-            tiny_config(epochs=3, head_bias=True, lam=0.3,
-                        head_weight_decay=1e-3,
-                        propagate_lig_to_backbone=propagate), variant)
-        outputs = {}
-        for step in ("table", "scalar"):
-            if step == "scalar":
-                monkeypatch.setattr(trainer, "train_step",
-                                    scalar_bias_train_step)
-            out = tmp_path / step
-            out.mkdir()
-            state, _ = trainer.run_training(cfg, dataset, checkpoint_dir=out)
-            assert state.head.bias[0] != 0.0
-            outputs[step] = {p.name: p.read_bytes()
-                             for p in sorted(out.iterdir())}
-        assert len(outputs["table"]) == 2
-        assert outputs["table"] == outputs["scalar"]
-
 
 def two_forward_train_step(state, config, clean_batch, aug_batch, lr):
     """The train step as it was before the parameter arena: a split step
@@ -360,14 +289,11 @@ def two_forward_train_step(state, config, clean_batch, aug_batch, lr):
             grads[name] += arr
     grads["bank_w"] = arc.grad_bank
     grads["head_w"] = config.lam * reg.grad_weight
-    if reg.grad_bias is not None:
-        grads["head_b"] = np.array([config.lam * reg.grad_bias])
 
     for name, param in state.params().items():
-        wd = (config.head_weight_decay if name.startswith("head_")
-              else config.weight_decay)
+        wd = 0.0 if name == "head_w" else trainer.WEIGHT_DECAY
         trainer.sgd_update(param, grads[name].astype(param.dtype, copy=False),
-                           state.momentum[name], lr, config.momentum, wd)
+                           state.momentum[name], lr, trainer.MOMENTUM, wd)
 
     state.global_step += 1
     state.last_step = trainer.StepInfo(
@@ -382,7 +308,7 @@ class TestSplitStep:
     def test_same_bytes_as_two_forward_step(self, dataset, tmp_path,
                                             monkeypatch, variant, propagate):
         cfg = trainer.apply_variant(
-            tiny_config(epochs=3, lam=0.3, head_weight_decay=1e-3,
+            tiny_config(epochs=3, lam=0.3,
                         propagate_lig_to_backbone=propagate), variant)
         calls = []
         forward = bb.forward
@@ -414,18 +340,15 @@ class TestSplitStep:
 
 
 class TestArena:
-    @pytest.mark.parametrize("head_bias", [False, True])
     @pytest.mark.parametrize("source", ["init", "load"])
     def test_arrays_are_views_of_one_flat_array(self, dataset, tmp_path,
-                                                head_bias, source):
-        state = trainer.init_train_state(tiny_config(head_bias=head_bias),
-                                         dataset)
+                                                source):
+        state = trainer.init_train_state(tiny_config(), dataset)
         if source == "load":
             trainer.checkpoint_save(state, tmp_path / "c.bin")
             state = trainer.checkpoint_load(tmp_path / "c.bin")
         names = list(state.params())
-        assert names == ["w1", "b1", "w2", "b2", "bank_w", "head_w"] + (
-            ["head_b"] if head_bias else [])
+        assert names == ["w1", "b1", "w2", "b2", "bank_w", "head_w"]
         for flat, table in zip(state.arena, (state.params(), state.momentum,
                                              state.grads)):
             assert flat.dtype == np.float32 and flat.ndim == 1
@@ -441,16 +364,14 @@ class TestArena:
                     assert offset == state.head_start
                 offset += arr.size
             assert offset == flat.size
-        assert all(name.startswith("head_") == (i >= names.index("head_w"))
-                   for i, name in enumerate(names))
         # writing through a view is seen in the flat array and back
         state.model.b1[0] = 3.5
         assert state.arena[0][state.model.w1.size] == 3.5
 
     def test_train_step_updates_through_the_views(self, dataset):
-        cfg = tiny_config(head_bias=True, lam=0.3)
+        cfg = tiny_config(lam=0.3)
         state = run_steps(cfg, dataset, 2)
-        assert state.head.bias[0] != 0.0
+        assert np.any(state.head.weight != 0.0)
         for flat, table in zip(state.arena, (state.params(), state.momentum,
                                              state.grads)):
             assert np.array_equal(
@@ -484,21 +405,23 @@ class TestArena:
 
 
 class TestPinnedBytes:
-    """Checkpoint and report digests of small runs, computed before the
-    parameter arena and the one-forward split step: a speed-up that
-    moves one bit fails here.  They hold for numpy's OpenBLAS at any
-    thread count, since these matmuls are too small to be split."""
+    """Checkpoint and report digests of small runs: the plain ``ig`` run's
+    computed before the parameter arena and the one-forward split step,
+    the two propagating runs' before the head-bias option was removed.  A
+    speed-up that moves one bit fails here.  They hold for numpy's
+    OpenBLAS at any thread count, since these matmuls are too small to be
+    split."""
 
     @pytest.mark.parametrize("variant,extra,ckpt,report", [
         ("ig", {},
          "eca596e2a212ee47c8d2c71c9f74be3a13a9cc1b56220dd020ae8e182bb2654d",
          "2c3b6a752bf23eb8148629ab0f01d7154e8fe965c96e08b73ae6b42d2106d72f"),
-        ("ig", {"head_bias": True, "propagate_lig_to_backbone": True},
-         "91cd2ca79cfc75da6956c8f3418e6fbd57fdf684f53ae1a51c6e6fb85090eefa",
-         "4a9033561a93330837eb127fbe081fd35ab32d23721179bd12ce053ffccb620f"),
-        ("cr-aug", {"head_bias": True, "propagate_lig_to_backbone": True},
-         "e70ca2d3db906d713ce9ca75bbc02289f0282ce6e1f363e20f43e29513bb1390",
-         "961edf86d3732176c23cb3d85499c2b2a8cd18c24b3554332bfe299feb4d4365"),
+        ("ig", {"propagate_lig_to_backbone": True},
+         "ac2208b7fee498d4867b30173e46588d20d24575df6ce711f79c6f570f9ecc07",
+         "11e67dfb1b1b263828d3884034585156e81ecd55f42a49d3a1ca42912af204b7"),
+        ("cr-aug", {"propagate_lig_to_backbone": True},
+         "82e5b69e57f74c6fa57ff5add5844434b144383eb209ae77d8564c51b46f8721",
+         "bb298a8b222951e56f04607095358473e696336c091a0b772c666a522e9142fb"),
     ])
     def test_two_epoch_digests(self, dataset, tmp_path, variant, extra, ckpt,
                                report):
@@ -787,7 +710,7 @@ class TestRunTraining:
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, dataset, tmp_path):
-        cfg = tiny_config(epochs=1, head_bias=True)
+        cfg = tiny_config(epochs=1)
         state, _ = trainer.run_training(cfg, dataset)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
@@ -811,17 +734,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             trainer.checkpoint_load(bad)
 
+    @pytest.mark.parametrize("offset,value", [
+        (28, b"\x01"),                      # head-bias flag
+        (69, struct.pack("<d", 0.5))],      # Smooth-L1 beta
+        ids=["head-bias", "beta"])
+    def test_head_bias_or_other_beta_raises(self, dataset, tmp_path, offset,
+                                            value):
+        path = tmp_path / "c.ckpt"
+        trainer.checkpoint_save(trainer.init_train_state(tiny_config(),
+                                                         dataset), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="head-bias flag"):
+            trainer.checkpoint_load(path)
+
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"WRONG!!!" + b"\x00" * 100)
         with pytest.raises(FormatError):
             trainer.checkpoint_load(path)
 
-    @pytest.mark.parametrize("head_bias", [False, True])
-    def test_resume_equals_uninterrupted(self, dataset, tmp_path, head_bias):
+    def test_resume_equals_uninterrupted(self, dataset, tmp_path):
         # milestone checkpoints carry the full schedule, so resuming one
         # must replay the identical stream
-        cfg = tiny_config(epochs=3, lr_milestones=(1,), head_bias=head_bias)
+        cfg = tiny_config(epochs=3)
         full, _ = trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
         resumed = trainer.checkpoint_load(tmp_path / "ckpt_epoch0001.bin")
         assert resumed.epoch == 2
@@ -836,12 +773,12 @@ class TestCheckpoint:
                 == (tmp_path / "final.bin").read_bytes())
 
     @pytest.mark.parametrize("field,value", [
-        ("scale", 9.0), ("margin", 0.25), ("beta", 0.5),
+        ("scale", 9.0), ("margin", 0.25),
         ("alpha_start", 0.8), ("alpha_end", 0.95), ("hidden_dim", 20),
-        ("embed_dim", 12), ("head_bias", True)])
+        ("embed_dim", 12)])
     def test_resume_refuses_other_config(self, dataset, tmp_path, field,
                                          value):
-        cfg = tiny_config(epochs=3, lr_milestones=(1,))
+        cfg = tiny_config(epochs=3)
         trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
         resumed = trainer.checkpoint_load(tmp_path / "ckpt_epoch0001.bin")
         other = dataclasses.replace(cfg, **{field: value})
@@ -853,7 +790,7 @@ class TestCheckpoint:
         ("input_dim", {"side": 10}), ("num_classes", {"num_classes": 7})])
     def test_resume_refuses_other_dataset(self, dataset, tmp_path, field,
                                           synth):
-        cfg = tiny_config(epochs=3, lr_milestones=(1,))
+        cfg = tiny_config(epochs=3)
         trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
         resumed = trainer.checkpoint_load(tmp_path / "ckpt_epoch0001.bin")
         other = synthdata.gen_dataset(synthdata.SynthConfig(**{
@@ -863,7 +800,7 @@ class TestCheckpoint:
             trainer.run_training(cfg, other, state=resumed)
 
     def test_milestone_checkpoints_written(self, dataset, tmp_path):
-        cfg = tiny_config(epochs=5, lr_milestones=(3,))
+        cfg = tiny_config(epochs=5)
         trainer.run_training(cfg, dataset, checkpoint_dir=tmp_path)
         assert (tmp_path / "ckpt_epoch0003.bin").exists()
         assert (tmp_path / "ckpt_epoch0004.bin").exists()
