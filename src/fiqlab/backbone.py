@@ -61,11 +61,9 @@ class ForwardCache:
                             self.norms[index], self.model)
 
 
-def init_backbone(input_dim, hidden_dim=128, embed_dim=64, rng=None,
+def init_backbone(input_dim, rng, hidden_dim=128, embed_dim=64,
                   dtype=np.float64):
     """Uniform fan-in-scaled weights, zero biases."""
-    if rng is None:
-        rng = rng_for(0, T_GRADCHECK)
     lim1 = 1.0 / np.sqrt(input_dim)
     lim2 = 1.0 / np.sqrt(hidden_dim)
     return MlpBackbone(

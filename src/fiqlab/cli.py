@@ -208,6 +208,8 @@ def cmd_erc(args, argv):
     started = time.time()
     if not 0.0 < args.fmr < 1.0:
         raise ConfigError(f"--fmr must lie in (0, 1), got {args.fmr}")
+    if not 0 <= (args.seed or 0) < 2 ** 32:
+        raise ConfigError(f"--seed must lie in [0, 2**32), got {args.seed}")
     out_dir = Path(args.out)
     manifest_records(out_dir)
     state = trainer.checkpoint_load(args.checkpoint)

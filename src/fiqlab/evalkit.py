@@ -278,13 +278,13 @@ def ccs_dist(snapshot_prev, snapshot_cur):
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def oracle_variance(dataset, model, batch_size=256):
+def oracle_variance(dataset, model):
     """Exact per-class intra-class embedding variance: the mean squared
     distance of a class's embeddings from their centroid.  No
     approximation; this is the reference the EMA tracker is checked
     against.
     """
-    emb = embed_dataset(model, dataset.images, batch_size=batch_size)
+    emb = embed_dataset(model, dataset.images)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     # a stable sort keeps each class's rows in dataset order
     order = np.argsort(labels, kind="stable")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .rngstreams import T_INIT_BANK, rng_for
 
 CR_EPS = 1e-9
 
@@ -57,11 +56,9 @@ class CrBatch:
     cr: np.ndarray
 
 
-def init_bank(embed_dim, num_classes, scale=64.0, margin=0.5, rng=None,
+def init_bank(embed_dim, num_classes, rng, scale=64.0, margin=0.5,
               dtype=np.float64):
     """Random unit prototype columns."""
-    if rng is None:
-        rng = rng_for(0, T_INIT_BANK)
     w = rng.standard_normal((embed_dim, num_classes))
     w = w / np.linalg.norm(w, axis=0, keepdims=True)
     return PrototypeBank(weights=w.astype(dtype), scale=scale, margin=margin)
@@ -118,7 +115,6 @@ class MarginLossResult:
     loss: float
     grad_emb: np.ndarray
     grad_bank: np.ndarray
-    cr: CrBatch
 
 
 def arcface_loss(bank, emb, labels, cos=None, columns=None, grad_bank=None):
@@ -130,8 +126,7 @@ def arcface_loss(bank, emb, labels, cos=None, columns=None, grad_bank=None):
     point the target logit switches to the standard linear extension
     cos(theta_y) - margin*sin(margin); without this guard training has
     an antipodal collapse attractor.  Returns analytic gradients with
-    respect to the embeddings and the (unnormalized) prototype matrix,
-    plus the CrBatch computed from the unmargined cosines.
+    respect to the embeddings and the (unnormalized) prototype matrix.
 
     ``cos`` and ``columns`` pass in the cosines of ``emb`` and the
     bank's normalized_columns; ``grad_bank`` receives that gradient.
@@ -141,11 +136,10 @@ def arcface_loss(bank, emb, labels, cos=None, columns=None, grad_bank=None):
     normalized, norms = columns or normalized_columns(bank)
     if cos is None:
         cos = cosines(bank, emb, normalized)
-    cr_stats = cr_batch(cos, labels)
 
     b = emb.shape[0]
     rows = np.arange(b)
-    cos_y = cr_stats.ccs
+    cos_y = cos[rows, labels]
     sin_y = np.sqrt(np.maximum(1.0 - cos_y * cos_y, 0.0))
     cos_m = np.cos(bank.margin)
     sin_m = np.sin(bank.margin)
@@ -177,5 +171,4 @@ def arcface_loss(bank, emb, labels, cos=None, columns=None, grad_bank=None):
     grad_bank = np.divide(d_normalized - radial * normalized, norms,
                           out=grad_bank)
 
-    return MarginLossResult(loss=loss, grad_emb=grad_emb,
-                            grad_bank=grad_bank, cr=cr_stats)
+    return MarginLossResult(loss=loss, grad_emb=grad_emb, grad_bank=grad_bank)

@@ -20,6 +20,12 @@ import numpy as np
 
 from . import evalkit, quality, synthdata, trainer, variance
 
+# The fixed tracker momenta the scheduled one is compared against
+FIXED_ALPHAS = (0.9, 0.99)
+
+# The compared variants; ig and cr are also scored on the rejection curve
+COMPARED_VARIANTS = ("ig", "cr", "cr-aug")
+
 
 def reference_synth_config(seed, degrade_fraction=0.0, pose_spread=1.0):
     """The 50-class/40-sample dataset with 20% duplicate classes used by
@@ -51,7 +57,7 @@ class CorrelationRun:
     normal_high_fraction: float
 
 
-def run_correlation_experiment(seed, epochs=10, fixed_alphas=(0.9, 0.99)):
+def run_correlation_experiment(seed, epochs=10):
     """Train on the reference dataset and correlate the tracker against
     exact per-class variance under a pretrained reference model (trained
     on the same dataset with the margin loss only), per epoch.
@@ -67,7 +73,7 @@ def run_correlation_experiment(seed, epochs=10, fixed_alphas=(0.9, 0.99)):
     rho_final = evalkit.pearson(ref_var, logs[-1].tracker_v)
 
     fixed = {}
-    for alpha in fixed_alphas:
+    for alpha in FIXED_ALPHAS:
         cfg = reference_train_config(seed, epochs=epochs,
                                      alpha_start=alpha, alpha_end=alpha)
         _, flogs = trainer.run_training(cfg, ds)
@@ -134,9 +140,8 @@ class VariantComparison:
     score_quality_rank: dict
 
 
-def run_variant_comparison(seed, eval_model, variants=("ig", "cr", "cr-aug"),
-                           fmr=1e-2, epochs=20):
-    """Train the requested variants on one seed and evaluate both the
+def run_variant_comparison(seed, eval_model, fmr=1e-2, epochs=20):
+    """Train the COMPARED_VARIANTS on one seed and evaluate both the
     cross-model rejection AUC (mixed-quality held-out split) and the
     own-backbone clean-pair FNMR."""
     train_ds = synthdata.gen_dataset(reference_synth_config(
@@ -145,13 +150,13 @@ def run_variant_comparison(seed, eval_model, variants=("ig", "cr", "cr-aug"),
     clean = _heldout_dataset(5000 + seed, 0.0)
     eval_pairs, eval_sims = _pair_similarities(eval_model, mixed, seed)
     aucs, fnmrs, ranks = {}, {}, {}
-    for variant in variants:
+    for variant in COMPARED_VARIANTS:
         cfg = comparison_train_config(seed, variant, epochs=epochs)
         state, _ = trainer.run_training(cfg, train_ds)
         pairs, sims = _pair_similarities(state.model, clean, seed)
         threshold = evalkit.fmr_threshold(sims[~pairs.genuine], fmr)
         fnmrs[variant] = evalkit.fnmr(sims[pairs.genuine], threshold)
-        if variant in ("ig", "cr", "ig-noaug"):
+        if variant in ("ig", "cr"):
             emb = evalkit.embed_dataset(state.model, mixed.images)
             scores = quality.predict(state.head, emb)
             aucs[variant] = evalkit.erc(eval_pairs, eval_sims, scores,

@@ -100,8 +100,9 @@ class SynthConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if self.pose_spread < 0.0:
             raise ConfigError("pose_spread must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        # rng_for keeps a seed's low 32 bits, so others would alias
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 @dataclass

@@ -101,6 +101,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.lig_reduction not in ("sum", "mean"):
             raise ConfigError("lig_reduction must be 'sum' or 'mean'")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
 
     def milestones(self):
         """The learning-rate milestone epochs: 60% and 80% of the run."""
@@ -260,35 +262,34 @@ def effective_weights(state, config):
     return np.ones_like(state.tracker.v)
 
 
-def train_step(state, config, clean_batch, aug_batch, lr):
-    """One optimization step; see the module docstring for the batch
-    semantics.  ``clean_batch``/``aug_batch`` are (images, labels).
+def _columns(config, b):
+    """Clean and augmented rows of a batch of ``b``: a split batch's two
+    halves, or the whole of an unsplit batch twice."""
+    h = b // 2 if config.split_batch else 0
+    return slice(0, b - h), slice(h, b)
 
-    A split step embeds clean then augmented rows in one forward pass
-    with one cosine matrix.  Unsplit (``split_batch=False``), both are
-    the one full batch, embedded once; the margin loss's certainty
-    ratios are the regression targets.  Gradients land in state.grads,
-    and SGD runs over the arena's prefix and its head tail.
+
+def train_step(state, config, imgs, labels, lr):
+    """One optimization step on one batch, its rows laid out as
+    ``_columns`` says: one forward pass, one cosine matrix and one
+    certainty-ratio pass over all of them.  Gradients land in
+    state.grads, and SGD runs over the arena's prefix and its head tail.
     """
-    clean_imgs, clean_labels = clean_batch
-    aug_imgs, aug_labels = aug_batch
-    split, n = config.split_batch, len(clean_imgs)
-    emb, cache = bb.forward(state.model, np.concatenate(
-        (clean_imgs, aug_imgs)) if split else clean_imgs)
-    clean, aug = slice(0, n), slice(n if split else 0, None)
+    clean, aug = _columns(config, len(imgs))
+    emb, cache = bb.forward(state.model, imgs)
     columns = margin.normalized_columns(state.bank)
     cos = margin.cosines(state.bank, emb, columns[0])
+    cr = margin.cr_batch(cos, labels)
     grads = state.grads
-    arc = margin.arcface_loss(state.bank, emb[clean], clean_labels,
+    arc = margin.arcface_loss(state.bank, emb[clean], labels[clean],
                               cos=cos[clean], columns=columns,
                               grad_bank=grads["bank_w"])
-    cr_aug = margin.cr_batch(cos[aug], aug_labels) if split else arc.cr
 
     variance.update(state.tracker,
-                    variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
+                    variance.group_ccs_by_class(labels[clean], cr.ccs[clean]))
 
-    sample_w = effective_weights(state, config)[aug_labels]
-    reg = quality.weighted_regression_loss(state.head, emb[aug], cr_aug.cr,
+    sample_w = effective_weights(state, config)[labels[aug]]
+    reg = quality.weighted_regression_loss(state.head, emb[aug], cr.cr[aug],
                                            sample_w,
                                            reduction=config.lig_reduction)
     _finite_or_abort(state, arc.loss, reg.loss)
@@ -308,8 +309,8 @@ def train_step(state, config, clean_batch, aug_batch, lr):
 
     state.global_step += 1
     state.last_step = StepInfo(l_arc=arc.loss, l_ig=reg.loss,
-                               cr_targets=cr_aug.cr, sample_weights=sample_w,
-                               ccs_clean=arc.cr.ccs)
+                               cr_targets=cr.cr[aug], sample_weights=sample_w,
+                               ccs_clean=cr.ccs[clean])
     return state
 
 
@@ -323,16 +324,21 @@ def epoch_flips(seed, epoch, n):
     return first_random(seed, T_FLIP, epoch, np.arange(n)) < 0.5
 
 
-def _build_half(dataset, indices, config, epoch, degraded, flips):
-    """Images and labels of ``indices``, mirrored where the epoch's
-    ``flips`` mask says so, then augmented if ``degraded``."""
-    imgs = dataset.images[indices]
-    f = flips[indices]
+def _build_half(dataset, idx, config, epoch, flips):
+    """Whole batches of images and labels for the (steps, batch) index
+    block ``idx``: every image mirrored where the epoch's ``flips`` mask
+    says so, then the augmented columns of ``_columns`` augmented."""
+    imgs = dataset.images[idx]
+    f = flips[idx]
     imgs[f] = imgs[f][:, :, ::-1]
-    if degraded and config.augment_p > 0.0:
-        augment_stack(imgs, rngs_for(config.seed, T_AUG, epoch, indices),
-                      config.augment_p)
-    return imgs, np.asarray(dataset.labels, dtype=np.int64)[indices]
+    if config.augment_p > 0.0:
+        aug = _columns(config, idx.shape[1])[1]
+        part = imgs[:, aug]
+        imgs[:, aug] = augment_stack(
+            part.reshape(-1, *part.shape[2:]),
+            rngs_for(config.seed, T_AUG, epoch, idx[:, aug].ravel()),
+            config.augment_p).reshape(part.shape)
+    return imgs, np.asarray(dataset.labels, dtype=np.int64)[idx]
 
 
 def _tracked_ccs(state, dataset, tracked_idx):
@@ -388,13 +394,7 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
         n, size=min(200, n), replace=False)
     prev_snapshot = _tracked_ccs(state, dataset, tracked_idx)
 
-    # the columns of a batch each _build_half call makes, and whether
-    # it augments them; a block of steps is built at once
-    half = b // 2
-    parts = ([(slice(0, half), False), (slice(half, b), True)]
-             if config.split_batch else [(slice(0, b), True)])
-    rows = b // len(parts)
-    block = max(1, _BLOCK_ROWS // rows)
+    block = max(1, _BLOCK_ROWS // b)
     milestones = set(config.milestones())
     for epoch in range(state.epoch, config.epochs):
         lr = config.lr_at(epoch)
@@ -405,15 +405,12 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
         n_steps = 0
         for first in range(state.step_in_epoch, steps_per_epoch, block):
             last = min(first + block, steps_per_epoch)
-            idx = perm[first * b:last * b].reshape(last - first, b)
-            built = [_build_half(dataset, idx[:, cols].ravel(), config, epoch,
-                                 degraded, flips) for cols, degraded in parts]
+            imgs, labels = _build_half(
+                dataset, perm[first * b:last * b].reshape(last - first, b),
+                config, epoch, flips)
             for t in range(first, last):
-                r = slice((t - first) * rows, (t - first + 1) * rows)
-                # unsplit, the one full batch is both halves
-                clean, aug = [(imgs[r], labels[r])
-                              for imgs, labels in (built[0], built[-1])]
-                train_step(state, config, clean, aug, lr)
+                train_step(state, config, imgs[t - first], labels[t - first],
+                           lr)
                 arc_sum += state.last_step.l_arc
                 ig_sum += state.last_step.l_ig
                 n_steps += 1

@@ -6,6 +6,7 @@ so a renamed traced function or a changed checkpoint layout fails these
 tests instead of a benchmark run.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiqlab import synthdata, trainer
+from fiqlab import cli, synthdata, trainer
 
 CHAINBENCH = Path(__file__).resolve().parents[1] / "chainbench"
 
@@ -52,3 +53,25 @@ def test_checkpoint_parses_as_the_benchmark_reads_it(tmp_path):
         assert np.array_equal(ckpt[f"m_{key}"], state.momentum[name]), name
         read |= {key, f"m_{key}"}
     assert read == {k for k, v in ckpt.items() if isinstance(v, np.ndarray)}
+
+
+# The probe checkpoint every benchmark run prints; a change that moves
+# one of its bits shows here, not only in the benchmark's output.
+PROBE_SHA256 = "370ae71c4c0b55b11f394ed2408445962f80b09f8cd9550332bf292a95ad2d2b"
+
+
+def test_probe_checkpoint_digest(tmp_path):
+    workloads = load("workloads")
+    for name, fields in (("synth", workloads.PROBE_SYNTH),
+                         ("train", workloads.PROBE_TRAIN)):
+        (tmp_path / f"{name}.cfg").write_text(
+            "".join(f"{k}={v}\n" for k, v in fields.items()),
+            encoding="utf-8")
+    ds = tmp_path / "data" / "ds.bin"
+    assert cli.main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                     "--out", str(ds)]) == 0
+    assert cli.main(["train", "--config", str(tmp_path / "train.cfg"),
+                     "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                     "--variant", "ig"]) == 0
+    ckpt = (tmp_path / "run" / "checkpoint.bin").read_bytes()
+    assert hashlib.sha256(ckpt).hexdigest() == PROBE_SHA256

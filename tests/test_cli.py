@@ -140,7 +140,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", [
         "hidden_dim=-1", "hidden_dim=0", "embed_dim=0", "lr=nan", "lam=nan",
-        "lam=-1", "scale=nan", "alpha_start=2"])
+        "lam=-1", "scale=nan", "alpha_start=2", "seed=-1", "seed=4294967296",
+        "seed=18446744073709551615"])
     def test_out_of_range_value_usage_error(self, workspace, capsys, line):
         ds_path = workspace / "ds.bin"
         run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
@@ -285,6 +286,17 @@ class TestErc:
                     "--dataset", ds_path, "--scores", "whatever",
                     "--fmr", "1.5", "--out", workspace / "e"])
         assert code == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_seed_out_of_range_usage_error(self, trained, capsys, seed):
+        workspace, ds_path, out_dir = trained
+        code = run(["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--scores", "whatever",
+                    "--fmr", "0.05", "--seed", seed, "--out", workspace / "e"])
+        assert code == 1
+        assert f"--seed must lie in [0, 2**32), got {seed}" in (
+            capsys.readouterr().err)
+        assert not (workspace / "e").exists()
 
     def test_more_nonmated_than_exist_usage_error(self, trained, capsys):
         # 6 classes x 6 samples have 540 cross-class pairs; the default

@@ -159,13 +159,14 @@ class TestArcfaceLoss:
         assert result.loss == pytest.approx(expected, rel=1e-12)
 
     def test_cr_uses_unmargined_cosines(self):
+        # the trainer takes its certainty ratios from the cosine matrix
+        # whose rows it passes to the margin loss, which must not margin it
         bank = make_bank(s=64.0, m=0.5, seed=2)
         emb = unit_rows(rng_for(2, 39), 10, 6)
         labels = rng_for(2, 40).integers(0, 4, 10)
-        result = margin.arcface_loss(bank, emb, labels)
-        expected = margin.cr_batch(margin.cosines(bank, emb), labels)
-        assert np.array_equal(result.cr.ccs, expected.ccs)
-        assert np.array_equal(result.cr.cr, expected.cr)
+        cos = margin.cosines(bank, emb)
+        margin.arcface_loss(bank, emb, labels, cos=cos)
+        assert cos.tobytes() == margin.cosines(bank, emb).tobytes()
 
     def test_prototype_scale_invariance_bitwise(self):
         bank = make_bank(seed=3)
@@ -177,7 +178,9 @@ class TestArcfaceLoss:
         res = margin.arcface_loss(scaled, emb, labels)
         assert res.loss == base.loss
         assert np.array_equal(res.grad_emb, base.grad_emb)
-        assert np.array_equal(res.cr.cr, base.cr.cr)
+        assert np.array_equal(
+            margin.cr_batch(margin.cosines(scaled, emb), labels).cr,
+            margin.cr_batch(margin.cosines(bank, emb), labels).cr)
         # gradient wrt prototypes scales inversely with the column norm
         np.testing.assert_allclose(res.grad_bank, base.grad_bank / 2.0,
                                    rtol=1e-12)
@@ -226,7 +229,8 @@ class TestArcfaceLoss:
 def arcface_loss_with_wrappers(bank, emb, labels):
     """The margin loss as it was written with numpy's Python-level
     wrappers (np.clip, .max, .sum, .mean), one bank normalisation per
-    call: the oracle for the wrapper-free margin.arcface_loss."""
+    call: the oracle for the wrapper-free margin.arcface_loss.  Returns
+    the loss result and the CrBatch of its cosines."""
     emb = np.asarray(emb)
     labels = np.asarray(labels)
     norms = np.sqrt(np.add.reduce(bank.weights * bank.weights, axis=0))
@@ -260,7 +264,7 @@ def arcface_loss_with_wrappers(bank, emb, labels):
     radial = np.sum(d_normalized * normalized, axis=0, keepdims=True)
     grad_bank = (d_normalized - radial * normalized) / norms
     return margin.MarginLossResult(loss=loss, grad_emb=grad_emb,
-                                   grad_bank=grad_bank, cr=cr_stats)
+                                   grad_bank=grad_bank), cr_stats
 
 
 class TestWrapperFree:
@@ -288,11 +292,15 @@ class TestWrapperFree:
         emb[::2] = -(bank.weights / np.linalg.norm(bank.weights, axis=0)
                      )[:, labels[::2]].T
         emb = (emb * stretch).astype(dtype)
-        want = arcface_loss_with_wrappers(bank, emb, labels)
+        want, want_cr = arcface_loss_with_wrappers(bank, emb, labels)
         columns = margin.normalized_columns(bank)
         cos = margin.cosines(bank, emb, columns[0])
         assert cos.tobytes() == np.clip(emb @ columns[0], -1.0,
                                         1.0).tobytes()
+        got_cr = margin.cr_batch(cos, labels)
+        for name in ("ccs", "nnccs", "cr"):
+            assert (getattr(got_cr, name).tobytes()
+                    == getattr(want_cr, name).tobytes()), name
         grad_bank = np.empty_like(bank.weights)
         for got in (margin.arcface_loss(bank, emb, labels),
                     margin.arcface_loss(bank, emb, labels, cos=cos,
@@ -304,7 +312,4 @@ class TestWrapperFree:
                 assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert (getattr(got, name).tobytes()
                         == getattr(want, name).tobytes()), name
-            for name in ("ccs", "nnccs", "cr"):
-                assert (getattr(got.cr, name).tobytes()
-                        == getattr(want.cr, name).tobytes()), name
         assert got.grad_bank is grad_bank

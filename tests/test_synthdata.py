@@ -44,6 +44,9 @@ class TestConfig:
         {"duplicate_class_fraction": 1.5},
         {"degrade_fraction": -0.1},
         {"pose_spread": -1.0},
+        {"seed": -1},
+        {"seed": 2 ** 32},
+        {"seed": 2 ** 64 - 1},
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ConfigError):

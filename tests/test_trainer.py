@@ -51,10 +51,18 @@ class TestConfig:
         {"alpha_start": float("nan")},
         {"alpha_end": -0.1},
         {"augment_p": float("nan")},
+        {"seed": -1},
+        {"seed": 2 ** 32},
+        {"seed": 2 ** 64 - 1},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
             tiny_config(**kw)
+
+    def test_seed_range_ends_accepted(self):
+        # rng_for keeps 32 bits of a seed; every such seed is accepted
+        for seed in (0, 2 ** 32 - 1):
+            assert tiny_config(seed=seed).seed == seed
 
     def test_auto_milestones_at_60_and_80_percent(self):
         cfg = tiny_config(epochs=30)
@@ -137,23 +145,26 @@ def flips(config, epoch, dataset):
     return trainer.epoch_flips(config.seed, epoch, dataset.num_samples)
 
 
+def build_batches(config, dataset, idx, epoch=0):
+    """Whole batches of the (steps, batch) index block ``idx``, from the
+    trainer's own batch builder."""
+    return trainer._build_half(dataset, np.asarray(idx), config, epoch,
+                               flips(config, epoch, dataset))
+
+
 def run_steps(config, dataset, n_steps, state=None, aug_override=None):
-    """Drive train_step directly with the trainer's own batch builder."""
+    """Drive train_step directly with the trainer's own batch builder;
+    ``aug_override`` replaces the images of every augmented half."""
     if state is None:
         state = trainer.init_train_state(config, dataset)
     b = config.batch_size
     perm = rng_for(config.seed, T_PERM, 0).permutation(dataset.num_samples)
-    mask = flips(config, 0, dataset)
+    imgs, labels = build_batches(config, dataset,
+                                 perm[:n_steps * b].reshape(n_steps, b))
+    if aug_override is not None:
+        imgs[:, b // 2:] = aug_override
     for t in range(n_steps):
-        idx = perm[t * b:(t + 1) * b]
-        clean = trainer._build_half(dataset, idx[:b // 2], config, 0, False,
-                                    mask)
-        if aug_override is not None:
-            aug = aug_override
-        else:
-            aug = trainer._build_half(dataset, idx[b // 2:], config, 0, True,
-                                      mask)
-        trainer.train_step(state, config, clean, aug, config.lr)
+        trainer.train_step(state, config, imgs[t], labels[t], config.lr)
     return state
 
 
@@ -166,11 +177,10 @@ class TestTrainStep:
         ref = trainer.init_train_state(cfg, dataset)
         perm = rng_for(cfg.seed, T_PERM, 0).permutation(dataset.num_samples)
         for t in range(4):
-            idx = perm[t * 8:(t + 1) * 8]
-            imgs, labels = trainer._build_half(dataset, idx[:4], cfg, 0, False,
-                                               flips(cfg, 0, dataset))
-            emb, cache = bb.forward(ref.model, imgs)
-            arc = margin.arcface_loss(ref.bank, emb, labels)
+            imgs, labels = build_batches(cfg, dataset,
+                                         [perm[t * 8:(t + 1) * 8]])
+            emb, cache = bb.forward(ref.model, imgs[0, :4])
+            arc = margin.arcface_loss(ref.bank, emb, labels[0, :4])
             grads = bb.backward(ref.model, cache, arc.grad_emb)
             grads["bank_w"] = arc.grad_bank
             params = ref.params()
@@ -191,13 +201,10 @@ class TestTrainStep:
         head_before = state.head.weight.copy()
         b = cfg.batch_size
         idx = np.flatnonzero(dataset.labels.astype(int) == 0)[:b // 2]
-        clean = trainer._build_half(dataset, idx, cfg, 0, False,
-                                    flips(cfg, 0, dataset))
-        aug = trainer._build_half(dataset, idx, cfg, 0, True,
-                                  flips(cfg, 0, dataset))
+        imgs, labels = build_batches(cfg, dataset, [np.tile(idx, 2)])
         # freeze the tracker so weights stay zero for class 0
         state.tracker.alpha_start = state.tracker.alpha_end = 1.0
-        trainer.train_step(state, cfg, clean, aug, cfg.lr)
+        trainer.train_step(state, cfg, imgs[0], labels[0], cfg.lr)
         assert np.all(state.last_step.sample_weights == 0.0)
         assert np.array_equal(state.head.weight, head_before)
 
@@ -213,10 +220,8 @@ class TestTrainStep:
         cfg = tiny_config(propagate_lig_to_backbone=False)
         state_a = run_steps(cfg, dataset, 2)
         other_cfg = dataclasses.replace(cfg, seed=99)
-        other = trainer._build_half(
-            dataset, np.arange(4), other_cfg, 1, True,
-            flips(other_cfg, 1, dataset))
-        state_b = run_steps(cfg, dataset, 2, aug_override=other)
+        other, _ = build_batches(other_cfg, dataset, [np.arange(8)], epoch=1)
+        state_b = run_steps(cfg, dataset, 2, aug_override=other[0, 4:])
         for name in ("w1", "b1", "w2", "b2", "bank_w"):
             assert np.array_equal(state_a.params()[name],
                                   state_b.params()[name]), name
@@ -234,12 +239,9 @@ class TestTrainStep:
         s1 = trainer.init_train_state(cfg, dataset)
         s2 = trainer.init_train_state(cfg, dataset)
         s2.head.weight[:] = rng_for(0, 90).standard_normal(16).astype(np.float32)
-        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
-                                    flips(cfg, 0, dataset))
-        aug = trainer._build_half(dataset, np.arange(4, 8), cfg, 0, True,
-                                  flips(cfg, 0, dataset))
-        trainer.train_step(s1, cfg, clean, aug, cfg.lr)
-        trainer.train_step(s2, cfg, clean, aug, cfg.lr)
+        imgs, labels = build_batches(cfg, dataset, [np.arange(8)])
+        trainer.train_step(s1, cfg, imgs[0], labels[0], cfg.lr)
+        trainer.train_step(s2, cfg, imgs[0], labels[0], cfg.lr)
         assert np.array_equal(s1.last_step.cr_targets, s2.last_step.cr_targets)
         assert s1.last_step.l_ig != s2.last_step.l_ig
 
@@ -248,33 +250,34 @@ class TestTrainStep:
         cfg = tiny_config()
         state = trainer.init_train_state(cfg, dataset)
         state.model.w1[:] = np.inf
-        clean = trainer._build_half(dataset, np.arange(4), cfg, 0, False,
-                                    flips(cfg, 0, dataset))
+        imgs, labels = build_batches(cfg, dataset, [np.arange(8)])
         with pytest.raises(NumericError):
-            trainer.train_step(state, cfg, clean, clean, cfg.lr)
+            trainer.train_step(state, cfg, imgs[0], labels[0], cfg.lr)
 
 
 def two_forward_train_step(state, config, clean_batch, aug_batch, lr):
     """The train step as it was before the parameter arena: a split step
     embeds each half in a forward pass of its own and normalizes the
-    prototypes once for the margin loss and once for the augmented
-    cosines; gradients are fresh arrays, and sgd_update runs once per
-    parameter array."""
+    prototypes once for the margin loss and once for each half's
+    certainty ratios; gradients are fresh arrays, and sgd_update runs
+    once per parameter array."""
     clean_imgs, clean_labels = clean_batch
     aug_imgs, aug_labels = aug_batch
 
     emb_clean, cache_clean = bb.forward(state.model, clean_imgs)
     arc = margin.arcface_loss(state.bank, emb_clean, clean_labels)
+    cr_clean = margin.cr_batch(margin.cosines(state.bank, emb_clean),
+                               clean_labels)
 
     if config.split_batch:
         emb_aug, cache_aug = bb.forward(state.model, aug_imgs)
         cos_aug = margin.cosines(state.bank, emb_aug)
         cr_aug = margin.cr_batch(cos_aug, aug_labels)
     else:
-        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, arc.cr
+        emb_aug, cache_aug, cr_aug = emb_clean, cache_clean, cr_clean
 
     variance.update(state.tracker,
-                    variance.group_ccs_by_class(clean_labels, arc.cr.ccs))
+                    variance.group_ccs_by_class(clean_labels, cr_clean.ccs))
 
     sample_w = trainer.effective_weights(state, config)[aug_labels]
     reg = quality.weighted_regression_loss(state.head, emb_aug, cr_aug.cr,
@@ -298,8 +301,33 @@ def two_forward_train_step(state, config, clean_batch, aug_batch, lr):
     state.global_step += 1
     state.last_step = trainer.StepInfo(
         l_arc=arc.loss, l_ig=reg.loss, cr_targets=cr_aug.cr,
-        sample_weights=sample_w, ccs_clean=arc.cr.ccs)
+        sample_weights=sample_w, ccs_clean=cr_clean.ccs)
     return state
+
+
+def two_forward_step_on_batch(state, config, imgs, labels, lr):
+    """two_forward_train_step on one split batch, given as its halves."""
+    h = len(imgs) // 2
+    return two_forward_train_step(state, config, (imgs[:h], labels[:h]),
+                                  (imgs[h:], labels[h:]), lr)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_one_forward_and_one_cr_pass_a_step(self, dataset, monkeypatch,
+                                                variant):
+        cfg = trainer.apply_variant(tiny_config(), variant)
+        state = trainer.init_train_state(cfg, dataset)
+        imgs, labels = build_batches(cfg, dataset, [np.arange(8)])
+        calls = []
+        for module, name in ((bb, "forward"), (margin, "cr_batch")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append((name, len(args[-1])))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        trainer.train_step(state, cfg, imgs[0], labels[0], cfg.lr)
+        assert calls == [("forward", 8), ("cr_batch", 8)]
 
 
 class TestSplitStep:
@@ -324,7 +352,7 @@ class TestSplitStep:
         for step in ("arena", "two_forward"):
             if step == "two_forward":
                 monkeypatch.setattr(trainer, "train_step",
-                                    two_forward_train_step)
+                                    two_forward_step_on_batch)
             calls.clear()
             out = tmp_path / step
             out.mkdir()
@@ -407,7 +435,8 @@ class TestArena:
 class TestPinnedBytes:
     """Checkpoint and report digests of small runs: the plain ``ig`` run's
     computed before the parameter arena and the one-forward split step,
-    the two propagating runs' before the head-bias option was removed.  A
+    the two propagating runs' before the head-bias option was removed,
+    the ``cr`` and ``ig-noaug`` runs' before a step took one batch.  A
     speed-up that moves one bit fails here.  They hold for numpy's
     OpenBLAS at any thread count, since these matmuls are too small to be
     split."""
@@ -422,6 +451,12 @@ class TestPinnedBytes:
         ("cr-aug", {"propagate_lig_to_backbone": True},
          "82e5b69e57f74c6fa57ff5add5844434b144383eb209ae77d8564c51b46f8721",
          "bb298a8b222951e56f04607095358473e696336c091a0b772c666a522e9142fb"),
+        ("cr", {},
+         "2fb7dc98f651f4f9d7e0a4ddc645c6f2d1ee71bdb14ac5425b95a23a42422997",
+         "184406ca1b625da6f1d435ac16bdf63bfd69b3ca89bd661c6b794b244b37a155"),
+        ("ig-noaug", {},
+         "30d2a675511393b0fbac14723318f3fc99ac7b711b79e04e92128abc1177e6d8",
+         "0e000e8f4191be0c9b6c21f26c26e608da121977f629e9c47509634e83a33d65"),
     ])
     def test_two_epoch_digests(self, dataset, tmp_path, variant, extra, ckpt,
                                report):
@@ -456,11 +491,11 @@ class TestUnsplitStep:
         monkeypatch.setattr(bb, "forward", counting_forward)
         perm = rng_for(cfg.seed, T_PERM, 0).permutation(dataset.num_samples)
         for t in range(3):
-            idx = perm[t * 8:(t + 1) * 8]
-            full = trainer._build_half(dataset, idx, cfg, 0, True,
-                                       flips(cfg, 0, dataset))
+            imgs, labels = build_batches(cfg, dataset,
+                                         [perm[t * 8:(t + 1) * 8]])
+            full = (imgs[0], labels[0])
             calls.clear()
-            trainer.train_step(fast, cfg, full, full, cfg.lr)
+            trainer.train_step(fast, cfg, *full, cfg.lr)
             assert calls == [8]
             two_forward_train_step(oracle, oracle_cfg, full, full, cfg.lr)
             assert calls == [8, 8, 8]
@@ -505,6 +540,18 @@ def build_half_loop(dataset, indices, config, epoch, degraded, flips=None):
     return imgs, np.asarray(dataset.labels, dtype=np.int64)[indices]
 
 
+def build_block_loop(dataset, idx, config, epoch, flips=None):
+    """build_half_loop over a (steps, batch) index block: the second half
+    of each split batch augmented, or all of each unsplit one."""
+    h = idx.shape[1] // 2 if config.split_batch else 0
+    halves = ((slice(0, h), False), (slice(h, None), True))
+    parts = [build_half_loop(dataset, row[cols], config, epoch, degraded)
+             for row in idx for cols, degraded in halves]
+    imgs = np.concatenate([imgs for imgs, _ in parts])
+    labels = np.concatenate([labels for _, labels in parts])
+    return imgs.reshape(idx.shape + imgs.shape[1:]), labels.reshape(idx.shape)
+
+
 class TestBuildHalf:
     @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("augment_p", [0.0, 0.3])
@@ -512,22 +559,21 @@ class TestBuildHalf:
         cfg = tiny_config(augment_p=augment_p, split_batch=split)
         before = dataset.images.copy()
         b = cfg.batch_size
-        for epoch in range(2):
+        # blocks of one step and of a whole epoch's 6
+        for epoch, steps in ((0, 1), (1, 1), (0, 6), (1, 6)):
             mask = flips(cfg, epoch, dataset)
             perm = rng_for(cfg.seed, T_PERM, epoch).permutation(
                 dataset.num_samples)
-            for t in range(dataset.num_samples // b):
-                idx = perm[t * b:(t + 1) * b]
-                halves = ([(idx[:b // 2], False), (idx[b // 2:], True)]
-                          if split else [(idx, True)])
-                for part, degraded in halves:
-                    imgs, labels = trainer._build_half(
-                        dataset, part, cfg, epoch, degraded, mask)
-                    want_imgs, want_labels = build_half_loop(
-                        dataset, part, cfg, epoch, degraded)
-                    assert imgs.dtype == want_imgs.dtype
-                    assert np.array_equal(imgs, want_imgs)
-                    assert np.array_equal(labels, want_labels)
+            for first in range(0, dataset.num_samples // b, steps):
+                idx = perm[first * b:(first + steps) * b].reshape(steps, b)
+                imgs, labels = trainer._build_half(dataset, idx, cfg, epoch,
+                                                   mask)
+                want_imgs, want_labels = build_block_loop(dataset, idx, cfg,
+                                                          epoch)
+                assert imgs.dtype == want_imgs.dtype
+                assert imgs.shape == (steps, b, dataset.side, dataset.side)
+                assert np.array_equal(imgs, want_imgs)
+                assert np.array_equal(labels, want_labels)
         assert np.array_equal(dataset.images, before)
 
     def test_epoch_flips_mirror_about_half(self, dataset):
@@ -572,7 +618,7 @@ class TestRunTraining:
         outputs = {}
         for build in ("mask", "loop"):
             if build == "loop":
-                monkeypatch.setattr(trainer, "_build_half", build_half_loop)
+                monkeypatch.setattr(trainer, "_build_half", build_block_loop)
             out = tmp_path / build
             out.mkdir()
             _, logs = trainer.run_training(cfg, dataset, checkpoint_dir=out)
@@ -590,7 +636,7 @@ class TestRunTraining:
         real, calls = trainer._build_half, []
 
         def counted(*args):
-            calls.append(len(args[1]))
+            calls.append(args[1].size)
             return real(*args)
 
         monkeypatch.setattr(trainer, "_build_half", counted)
@@ -604,16 +650,14 @@ class TestRunTraining:
             trainer.write_report_csv(logs, out / "report.csv")
             outputs[block_rows] = {p.name: p.read_bytes()
                                    for p in sorted(out.iterdir())}
-            # 6 steps an epoch; a split batch is built as two calls
-            rows = 4 if cfg.split_batch else 8
-            assert max(calls) == rows * min(6, max(1, block_rows // rows))
+            # 6 steps of 8 rows an epoch, each built whole
+            assert max(calls) == 8 * min(6, max(1, block_rows // 8))
         assert outputs[12] == outputs[1] == outputs[trainer._BLOCK_ROWS]
 
     @pytest.mark.parametrize("variant", ["ig", "cr-aug"])
     def test_resume_mid_block_equals_uninterrupted(self, dataset, tmp_path,
                                                    monkeypatch, variant):
-        # 16 rows: blocks of 4 split steps or 2 unsplit ones, so step 3
-        # lies inside a block either way
+        # 16 rows: blocks of 2 steps, so step 3 lies inside one
         monkeypatch.setattr(trainer, "_BLOCK_ROWS", 16)
         cfg = trainer.apply_variant(tiny_config(epochs=2), variant)
         full, _ = trainer.run_training(cfg, dataset)
