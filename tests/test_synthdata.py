@@ -246,6 +246,65 @@ class TestDegrade:
             assert got[k].tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("side", [4, 13, 24])
+    def test_class_stack_equals_per_image_with_fresh_streams(self, dtype,
+                                                             side):
+        # per-image levels, rows 0 and 8 left alone; the small levels
+        # blur to no shrink (side 4 up to 1/6, side 24 up to 0.027) and
+        # erase ranges that round below one pixel (side 4 up to 0.2,
+        # side 24 up to 0.005)
+        levels = [None, 0.004, 0.02, 0.05, 0.15, 0.4, 0.4, 1.0, None, 0.7]
+        imgs = rng_for(8, side).uniform(0.0, 1.0, (len(levels), side, side))
+        imgs = imgs.astype(dtype)
+        factor, rects, jitter = np.ones(len(levels)), {}, {}
+        for k, level in enumerate(levels):
+            if level is not None:
+                factor[k], rects[k], jitter[k] = synthdata._degrade_draws(
+                    side, level, rng_for(8, 99, k))
+        assert any(round(side * f) == side for f in factor[1:8])
+        assert any(h == 0 for _, _, h, _ in rects.values())
+        got = synthdata._run_operators(imgs.copy(), factor, rects, jitter)
+        assert got.dtype == imgs.dtype
+        for k, level in enumerate(levels):
+            want = imgs[k] if level is None else synthdata.degrade(
+                imgs[k], level, rng_for(8, 99, k))
+            assert got[k].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("level", [0.0, -0.1, 1.5])
+    def test_bad_level(self, level):
+        with pytest.raises(DomainError):
+            synthdata.degrade(np.zeros((8, 8)), level, rng_for(0, 1))
+
+
+class TestDegradeStreams:
+    @pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0])
+    def test_only_degraded_samples_enter_their_streams(self, monkeypatch,
+                                                       fraction):
+        entered = []
+        real = synthdata.rngs_for
+
+        def counting(seed, tag, counter, indices):
+            pairs = zip(np.broadcast_to(counter, np.shape(indices)).tolist(),
+                        np.asarray(indices).tolist())
+            for pair, rng in zip(pairs, real(seed, tag, counter, indices)):
+                if tag == T_DEGRADE:
+                    entered.append(tuple(pair))
+                yield rng
+
+        monkeypatch.setattr(synthdata, "rngs_for", counting)
+        ds = synthdata.gen_dataset(small_cfg(num_classes=8, samples_per_class=6,
+                                             degrade_fraction=fraction))
+        n = ds.samples_per_class
+        normal = ds.class_flags[ds.labels] == synthdata.FLAG_NORMAL
+        degraded = np.flatnonzero(normal & (ds.degradation_level > 0))
+        assert entered == [(r // n, r % n) for r in degraded]
+        if fraction == 0.0:
+            assert entered == []
+        else:
+            assert entered
+
+
 class TestRescaleBlur:
     def test_identity_factor(self):
         img = rng_for(0, 1).uniform(0, 1, (24, 24))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiqlab import backbone as bb
-from fiqlab import margin, quality, synthdata, trainer, variance
+from fiqlab import margin, quality, reference, synthdata, trainer, variance
 from fiqlab.configio import build_config
 from fiqlab.errors import ConfigError, FormatError, NumericError
 from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for, rngs_for
@@ -437,9 +437,9 @@ class TestPinnedBytes:
     computed before the parameter arena and the one-forward split step,
     the two propagating runs' before the head-bias option was removed,
     the ``cr`` and ``ig-noaug`` runs' before a step took one batch.  A
-    speed-up that moves one bit fails here.  They hold for numpy's
-    OpenBLAS at any thread count, since these matmuls are too small to be
-    split."""
+    speed-up that moves one bit fails here.  The tiny runs' pins hold for
+    numpy's OpenBLAS at any thread count, since their matmuls are too
+    small to be split."""
 
     @pytest.mark.parametrize("variant,extra,ckpt,report", [
         ("ig", {},
@@ -462,6 +462,44 @@ class TestPinnedBytes:
                                report):
         cfg = trainer.apply_variant(tiny_config(epochs=2, **extra), variant)
         state, logs = trainer.run_training(cfg, dataset)
+        trainer.checkpoint_save(state, tmp_path / "c.bin")
+        trainer.write_report_csv(logs, tmp_path / "report.csv")
+        assert sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == ckpt
+        assert sha256((tmp_path / "report.csv").read_bytes()
+                      ).hexdigest() == report
+
+    # Hidden width 256, where grouping rows differently in one float32
+    # product changes its bytes on OpenBLAS: the acceptance comparison's
+    # `ig` and `cr` runs (seed 1) and the evaluation model, each cut to 2
+    # epochs.  Unlike the pins above, these hold only for the BLAS build
+    # they were taken on (numpy 2.4's OpenBLAS 0.3.31, Haswell kernels;
+    # the same at 1 and 2 threads).
+    @pytest.mark.parametrize("run,ckpt,report", [
+        ("ig",
+         "b632f612017bc03711f61e70add3af71949f18e3597a6dd0e81201c1dfe9bb8f",
+         "42a8ead79cae990e70e8d3f11589ff9b50b5600e4dff51781a96c8cf2f804543"),
+        ("cr",
+         "bef2977c39103c1f2a0cc5b3b7c658ce11b4897830e5c088ef8978eb6547e6fa",
+         "9ce22d04d1ffd357e5efec6e04a868c1dd49a7a395ac8fd742da05c661d30b6a"),
+        ("eval",
+         "032b05f80c182444c29b509810a517be7a8b456f57e4f82cf7208548adec9d5b",
+         "5e2c4744d44c81024003156a3f77525421930057c91f349d475b8968cbe96957"),
+    ])
+    def test_hidden_256_digests(self, tmp_path, run, ckpt, report):
+        if run == "eval":
+            # train_eval_reference_model's set and config
+            ds = synthdata.gen_dataset(synthdata.SynthConfig(
+                num_classes=80, samples_per_class=30, side=24,
+                duplicate_class_fraction=0.0, pose_spread=0.8,
+                degrade_fraction=0.0, seed=9100))
+            cfg = reference.reference_train_config(77, epochs=2, lam=0.0,
+                                                   hidden_dim=256)
+        else:
+            # run_variant_comparison's training set for seed 1
+            ds = synthdata.gen_dataset(reference.reference_synth_config(
+                3001, degrade_fraction=0.3, pose_spread=0.8))
+            cfg = reference.comparison_train_config(1, run, epochs=2)
+        state, logs = trainer.run_training(cfg, ds)
         trainer.checkpoint_save(state, tmp_path / "c.bin")
         trainer.write_report_csv(logs, tmp_path / "report.csv")
         assert sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == ckpt
