@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -164,21 +163,15 @@ def cmd_score(args, argv):
     emb = evalkit.embed_dataset(state.model, dataset.images)
     scores = quality.predict(state.head, emb)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_scores_csv(scores, out)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("sample_id,score\n")
+        for i, s in enumerate(scores):
+            fh.write(f"{i},{s:.9g}\n")
     write_manifest(out.parent, "score", argv, {},
                    {"checkpoint": args.checkpoint, "dataset": args.dataset},
                    [out], started=started)
     print(f"wrote {out} ({len(scores)} scores)")
     return EXIT_OK
-
-
-def _write_scores_csv(scores, path):
-    """One ``sample_id,score`` row per score, nine significant digits,
-    formatted in one pass."""
-    flat = tuple(chain.from_iterable(enumerate(scores.tolist())))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,score\n")
-        fh.write(("%d,%.9g\n" * len(scores)) % flat)
 
 
 def _read_scores_csv(path, expected):

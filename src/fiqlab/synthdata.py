@@ -283,12 +283,22 @@ def hflip(img, rng):
     return img.copy()
 
 
-def _run_operators(imgs, factor, rects, jitter):
-    """Run each operator once over an (n, side, side) stack, in place, in
-    the order blur -> erase -> jitter: image ``k`` is shrunk by
-    ``factor[k]`` and restored, loses the rectangle ``rects[k]`` and is
-    mapped by ``jitter[k] = (gain, shift)``, where it has them."""
+def augment_stack(imgs, rngs, p=0.3):
+    """Augment an (n, side, side) stack in place and return it, image
+    ``k`` drawing from the ``k``-th generator of ``rngs`` all that
+    ``augment`` draws, in its order; then each operator runs once."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
     side = imgs.shape[-1]
+    factor, rects, jitter = np.ones(len(imgs)), {}, {}
+    for k, rng in enumerate(rngs):
+        if rng.random() < p:
+            factor[k] = rng.uniform(BLUR_FACTOR_LO, BLUR_FACTOR_HI)
+        if rng.random() < p:
+            rects[k] = _erase_draw(side, rng, ERASE_AREA_LO, ERASE_AREA_HI)
+        if rng.random() < p:
+            jitter[k] = (rng.uniform(JITTER_GAIN_LO, JITTER_GAIN_HI),
+                         rng.uniform(-JITTER_SHIFT, JITTER_SHIFT))
     # one blur per shrunk size, which every factor of its group gives (both
     # rounds halve to even); a size of ``side`` leaves the image as it is
     small = np.maximum(1, np.round(side * factor))
@@ -306,25 +316,6 @@ def _run_operators(imgs, factor, rects, jitter):
     return imgs
 
 
-def augment_stack(imgs, rngs, p=0.3):
-    """Augment an (n, side, side) stack in place and return it, image
-    ``k`` drawing from the ``k``-th generator of ``rngs`` all that
-    ``augment`` draws, in its order; then each operator runs once."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
-    side = imgs.shape[-1]
-    factor, rects, jitter = np.ones(len(imgs)), {}, {}
-    for k, rng in enumerate(rngs):
-        if rng.random() < p:
-            factor[k] = rng.uniform(BLUR_FACTOR_LO, BLUR_FACTOR_HI)
-        if rng.random() < p:
-            rects[k] = _erase_draw(side, rng, ERASE_AREA_LO, ERASE_AREA_HI)
-        if rng.random() < p:
-            jitter[k] = (rng.uniform(JITTER_GAIN_LO, JITTER_GAIN_HI),
-                         rng.uniform(-JITTER_SHIFT, JITTER_SHIFT))
-    return _run_operators(imgs, factor, rects, jitter)
-
-
 def augment(img, rng, p=0.3):
     """Apply each quality-degrading operator independently with
     probability ``p``, in the fixed order blur -> erase -> jitter; the
@@ -336,29 +327,19 @@ def augment(img, rng, p=0.3):
     return augment_stack(img[None].copy(), [rng], p)[0]
 
 
-def _degrade_draws(side, level, rng):
-    """What ``degrade`` applies at ``level`` in (0, 1]: its blur factor,
-    then what it draws from ``rng``, in its order: the erase rectangle,
-    then the jitter ``(gain, shift)``."""
-    if not 0.0 < level <= 1.0:
-        raise DomainError(f"degradation level must lie in (0, 1], got {level}")
-    rect = _erase_draw(side, rng, 0.5 * _DEG_ERASE_MAX * level,
-                       _DEG_ERASE_MAX * level)
-    shift = rng.uniform(-JITTER_SHIFT, JITTER_SHIFT) * level
-    return 1.0 - _DEG_BLUR_MAX * level, rect, (1.0 - _DEG_GAIN_MAX * level,
-                                               shift)
-
-
 def degrade(img, level, rng):
     """Apply all three degradation operators with strength proportional
     to ``level`` in (0, 1].  Used to bake ground-truth quality loss into
     generated samples.  A stack is degraded with one set of draws, the
     same for every image.
     """
-    factor, (top, left, h, w), (gain, shift) = _degrade_draws(
-        img.shape[-1], level, rng)
-    out = rescale_blur(img, factor)
-    out[..., top:top + h, left:left + w] = 0.0
+    if not 0.0 < level <= 1.0:
+        raise DomainError(f"degradation level must lie in (0, 1], got {level}")
+    out = rescale_blur(img, 1.0 - _DEG_BLUR_MAX * level)
+    out = _erase_rect(out, rng, 0.5 * _DEG_ERASE_MAX * level,
+                      _DEG_ERASE_MAX * level)
+    gain = 1.0 - _DEG_GAIN_MAX * level
+    shift = rng.uniform(-JITTER_SHIFT, JITTER_SHIFT) * level
     return jitter_affine(out, gain, shift)
 
 
@@ -407,9 +388,8 @@ def gen_dataset(cfg):
     Normal classes draw degradation per sample: coin, level and operator
     draws all come from the sample's ``T_DEGRADE`` stream.  Every coin is
     taken in one ``first_random`` pass, and only the streams of samples it
-    degrades are entered, each redrawing its coin; a class's degraded
-    samples then run each operator once.  Per-sample streams are served
-    in class-major order by ``rngs_for``.
+    degrades are entered, each redrawing its coin.  Per-sample streams are
+    served in class-major order by ``rngs_for``.
     """
     c_total, n, side = cfg.num_classes, cfg.samples_per_class, cfg.side
     seed = cfg.seed
@@ -459,16 +439,12 @@ def gen_dataset(cfg):
             shifts = np.array([rng.normal(0.0, class_pose, 2)
                                for rng in islice(sample_rngs, n)])
             imgs = _sample_template(template, side, shifts[:, 0], shifts[:, 1])
-            factor, rects, jitter = np.ones(n), {}, {}
             # zip stops at the class's last hit before asking for a stream
             for i, drng in zip(np.flatnonzero(hit[rows]), degrade_rngs):
                 drng.random()  # the coin first_random took
                 level = 1.0 - drng.random()
-                factor[i], rects[i], jitter[i] = _degrade_draws(side, level,
-                                                                drng)
+                imgs[i] = degrade(imgs[i], level, drng)
                 levels[c * n + i] = level
-            if jitter:  # some sample of the class is degraded
-                _run_operators(imgs, factor, rects, jitter)
         images[rows] = imgs
 
     return IdentityDataset(images=images, labels=labels,

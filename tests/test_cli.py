@@ -218,21 +218,6 @@ class TestScore:
         assert "head-bias flag" in capsys.readouterr().err
         assert not (workspace / "s.csv").exists()
 
-    def test_one_pass_writer_matches_per_line_format(self, tmp_path):
-        # negative, tiny (subnormal included), exponent-form, zero-signed,
-        # integral and non-finite float32 scores
-        scores = np.array([0.5, -0.25, -1.0000001, 1e-7, 1e-45, -3e-39,
-                           1.2345678e-5, 6.02e23, -0.0, 0.0, 3.0, 1 / 3,
-                           np.inf, -np.inf, np.nan], dtype=np.float32)
-        scores = np.concatenate([scores, rngstreams.rng_for(4, 5).normal(
-            0.0, 1e3, 200).astype(np.float32)])
-        cli._write_scores_csv(scores, tmp_path / "scores.csv")
-        want = "sample_id,score\n" + "".join(
-            f"{i},{s:.9g}\n" for i, s in enumerate(scores))
-        assert (tmp_path / "scores.csv").read_bytes() == want.encode()
-        cli._write_scores_csv(scores[:0], tmp_path / "none.csv")
-        assert (tmp_path / "none.csv").read_text() == "sample_id,score\n"
-
     def test_dimension_mismatch_rejected(self, trained, tmp_path):
         workspace, ds_path, out_dir = trained
         other_cfg = tmp_path / "other.cfg"

@@ -245,32 +245,6 @@ class TestDegrade:
             want = synthdata.degrade(imgs[k], level, rng_for(7, 99))
             assert got[k].tobytes() == want.tobytes()
 
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("side", [4, 13, 24])
-    def test_class_stack_equals_per_image_with_fresh_streams(self, dtype,
-                                                             side):
-        # per-image levels, rows 0 and 8 left alone; the small levels
-        # blur to no shrink (side 4 up to 1/6, side 24 up to 0.027) and
-        # erase ranges that round below one pixel (side 4 up to 0.2,
-        # side 24 up to 0.005)
-        levels = [None, 0.004, 0.02, 0.05, 0.15, 0.4, 0.4, 1.0, None, 0.7]
-        imgs = rng_for(8, side).uniform(0.0, 1.0, (len(levels), side, side))
-        imgs = imgs.astype(dtype)
-        factor, rects, jitter = np.ones(len(levels)), {}, {}
-        for k, level in enumerate(levels):
-            if level is not None:
-                factor[k], rects[k], jitter[k] = synthdata._degrade_draws(
-                    side, level, rng_for(8, 99, k))
-        assert any(round(side * f) == side for f in factor[1:8])
-        assert any(h == 0 for _, _, h, _ in rects.values())
-        got = synthdata._run_operators(imgs.copy(), factor, rects, jitter)
-        assert got.dtype == imgs.dtype
-        for k, level in enumerate(levels):
-            want = imgs[k] if level is None else synthdata.degrade(
-                imgs[k], level, rng_for(8, 99, k))
-            assert got[k].tobytes() == want.tobytes(), k
-
     @pytest.mark.parametrize("level", [0.0, -0.1, 1.5])
     def test_bad_level(self, level):
         with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import struct
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +434,25 @@ class TestArena:
             assert b.tobytes() == flat[2][lo:hi].tobytes()
 
 
+def openblas_core():
+    """``(version, core)`` of numpy's bundled scipy-openblas, ``core``
+    being the kernel set it chose for this CPU when it loaded, or None
+    when numpy uses another BLAS."""
+    try:
+        version = np.__config__.CONFIG["Build Dependencies"]["blas"]["version"]
+        lib = next((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*"))
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    except (AttributeError, KeyError, OSError, StopIteration):
+        return None
+    corename.restype = ctypes.c_char_p
+    return version, corename().decode()
+
+
+# the BLAS the hidden-width-256 pins were taken on
+PINNED_BLAS = ("0.3.31.188.0", "SkylakeX")
+
+
 class TestPinnedBytes:
     """Checkpoint and report digests of small runs: the plain ``ig`` run's
     computed before the parameter arena and the one-forward split step,
@@ -472,8 +493,8 @@ class TestPinnedBytes:
     # product changes its bytes on OpenBLAS: the acceptance comparison's
     # `ig` and `cr` runs (seed 1) and the evaluation model, each cut to 2
     # epochs.  Unlike the pins above, these hold only for the BLAS build
-    # they were taken on (numpy 2.4's OpenBLAS 0.3.31, Haswell kernels;
-    # the same at 1 and 2 threads).
+    # and kernel set they were taken on, PINNED_BLAS (the same at 1 and 2
+    # threads), and are skipped on any other.
     @pytest.mark.parametrize("run,ckpt,report", [
         ("ig",
          "b632f612017bc03711f61e70add3af71949f18e3597a6dd0e81201c1dfe9bb8f",
@@ -486,6 +507,12 @@ class TestPinnedBytes:
          "5e2c4744d44c81024003156a3f77525421930057c91f349d475b8968cbe96957"),
     ])
     def test_hidden_256_digests(self, tmp_path, run, ckpt, report):
+        blas = openblas_core()
+        if blas != PINNED_BLAS:
+            have = ("another library" if blas is None
+                    else "OpenBLAS %s with %s kernels" % blas)
+            pytest.skip("pinned on OpenBLAS %s with %s kernels; this "
+                        "numpy's BLAS is %s" % (*PINNED_BLAS, have))
         if run == "eval":
             # train_eval_reference_model's set and config
             ds = synthdata.gen_dataset(synthdata.SynthConfig(
@@ -502,9 +529,11 @@ class TestPinnedBytes:
         state, logs = trainer.run_training(cfg, ds)
         trainer.checkpoint_save(state, tmp_path / "c.bin")
         trainer.write_report_csv(logs, tmp_path / "report.csv")
-        assert sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == ckpt
+        where = "pinned on OpenBLAS %s with %s kernels" % PINNED_BLAS
+        assert sha256((tmp_path / "c.bin").read_bytes()
+                      ).hexdigest() == ckpt, where
         assert sha256((tmp_path / "report.csv").read_bytes()
-                      ).hexdigest() == report
+                      ).hexdigest() == report, where
 
 
 class TestUnsplitStep:
