@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import backbone as bb
 from . import evalkit, margin, quality, synthdata, trainer, variance
-from .configio import build_config, text_lines
+from .configio import build_config, text_lines, write_csv
 from .errors import (
     ConfigError,
     DomainError,
@@ -57,7 +57,7 @@ def manifest_records(out_dir):
 
 
 def write_manifest(out_dir, command, argv, config, inputs, outputs,
-                   seed=None, started=None):
+                   started, seed=None):
     """Record a command in ``out_dir/manifest.json``, which keeps one
     record per command that wrote there: a record of the same command
     with an output in common, a re-run, is replaced; every other stays.
@@ -72,7 +72,7 @@ def write_manifest(out_dir, command, argv, config, inputs, outputs,
         "outputs": {str(p): _sha256(p) for p in outputs},
         "tool_version": __version__,
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "elapsed_s": None if started is None else time.time() - started,
+        "elapsed_s": time.time() - started,
     }
     names = {Path(p).name for p in outputs}
     kept = [r for r in manifest_records(out_dir) if r["command"] != command
@@ -163,10 +163,8 @@ def cmd_score(args, argv):
     emb = evalkit.embed_dataset(state.model, dataset.images)
     scores = quality.predict(state.head, emb)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,score\n")
-        for i, s in enumerate(scores):
-            fh.write(f"{i},{s:.9g}\n")
+    rows = np.stack([np.arange(len(scores)), scores], axis=1)
+    write_csv(out, "sample_id,score", "%d,%.9g", rows.ravel().tolist())
     write_manifest(out.parent, "score", argv, {},
                    {"checkpoint": args.checkpoint, "dataset": args.dataset},
                    [out], started=started)
@@ -210,6 +208,9 @@ def cmd_erc(args, argv):
         raise ConfigError(f"--fmr must lie in (0, 1), got {args.fmr}")
     if not 0 <= (args.seed or 0) < 2 ** 32:
         raise ConfigError(f"--seed must lie in [0, 2**32), got {args.seed}")
+    method = args.method or Path(args.scores).stem
+    if any(c in method for c in ",\r\n"):
+        raise ConfigError(f"method {method!r} must not contain ',', CR or LF")
     out_dir = Path(args.out)
     manifest_records(out_dir)
     state = trainer.checkpoint_load(args.checkpoint)
@@ -222,10 +223,11 @@ def cmd_erc(args, argv):
     curve = evalkit.erc(pairs, sims, scores, args.fmr, grid_step=args.grid_step)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_csv = out_dir / "erc_curve.csv"
-    evalkit.write_curve_csv(curve, curve_csv)
+    write_csv(curve_csv, "reject_rate,fnmr", "%.9g,%.9g",
+              curve.points.ravel().tolist())
     auc_csv = out_dir / "erc_auc.csv"
-    method = args.method or Path(args.scores).stem
-    evalkit.write_auc_csv([(method, args.fmr, curve.auc)], auc_csv)
+    write_csv(auc_csv, "method,fmr,auc", "%s,%.9g,%.9g",
+              [method, args.fmr, curve.auc])
     pairs_csv = out_dir / "pairs.csv"
     evalkit.write_pairs_csv(pairs, pairs_csv)
     write_manifest(out_dir, "erc", argv,
@@ -355,13 +357,13 @@ def _selfchecks():
     before = frozen.v.copy()
     variance.update(frozen, variance.group_ccs_by_class([1], [0.3]))
     checks.append(("ema identity at alpha=1",
-                   float(np.abs(frozen.v - before).max()), 0.0 + 1e-300))
+                   float(np.abs(frozen.v - before).max()), 0.0))
     t = variance.init_tracker(6, total_steps=5)
     t.v = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     w = variance.weights(t).w
-    checks.append(("weight clamp floor exact zero", float(abs(w[0])), 1e-300))
+    checks.append(("weight clamp floor exact zero", float(abs(w[0])), 0.0))
     checks.append(("weight ceiling exact one",
-                   float(np.abs(w[1:] - 1.0).max()), 1e-300))
+                   float(np.abs(w[1:] - 1.0).max()), 0.0))
 
     checks.append(("certainty ratio hand value",
                    abs(margin.cr(0.8, 0.2) - 0.6666666661), 1e-9))

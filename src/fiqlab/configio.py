@@ -1,4 +1,4 @@
-"""Flat key=value config files.
+"""Flat key=value config files, and the one CSV writer of every output.
 
 One key per line, keys named exactly after the dataclass fields; blank
 lines and '#' comments are ignored.  Unknown or unparseable keys raise
@@ -18,6 +18,15 @@ def text_lines(path, error):
             return fh.readlines()
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_csv(path, header, fmt, values):
+    """Write the ``header`` line, then one line of %-format ``fmt`` per
+    row of the row-major flat ``values``, a row having as many values as
+    the header names columns."""
+    rows = len(values) // (header.count(",") + 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\n" + f"{fmt}\n" * rows % tuple(values))
 
 
 def read_kv_file(path):

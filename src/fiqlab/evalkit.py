@@ -18,6 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import variance
+from .configio import write_csv
 from .errors import (
     DomainError,
     StructuralError,
@@ -155,18 +156,12 @@ def fmr_threshold(nonmated_sims, fmr_target):
     return float(upper + max(gap, 1e-9))
 
 
-def fnmr(mated_sims, threshold, keep_mask=None):
-    """Fraction of kept mated pairs falling below the threshold."""
+def fnmr(mated_sims, threshold):
+    """Fraction of mated pairs falling below the threshold."""
     sims = np.asarray(mated_sims)
-    if keep_mask is None:
-        keep_mask = np.ones(sims.shape[0], dtype=bool)
-    keep_mask = np.asarray(keep_mask)
-    if keep_mask.shape != sims.shape:
-        raise StructuralError("keep mask length does not match similarities")
-    kept = sims[keep_mask]
-    if kept.size == 0:
-        raise UndefinedFnmrError("all mated pairs rejected")
-    return float(np.mean(kept < threshold))
+    if sims.size == 0:
+        raise UndefinedFnmrError("no mated pairs")
+    return float(np.mean(sims < threshold))
 
 
 def auc(points):
@@ -303,7 +298,6 @@ class CostProbeReport:
     ema_step_cost: float
     naive_step_cost: float
     ratio: float
-    ema_v: np.ndarray
     naive_var: np.ndarray
 
 
@@ -314,8 +308,8 @@ def tracker_cost_probe(dataset, model, tracker, batch_size=64, repeats=5):
     The EMA path times what the tracker adds to a training iteration
     whose batch CCS values are already in hand: grouping by class plus
     one EMA update.  The naive path times oracle_variance over the whole
-    dataset.  Returns the per-iteration costs, their ratio, and both
-    variance estimates for semantic comparison.
+    dataset.  Returns the per-iteration costs, their ratio, and the
+    exact variance for semantic comparison.
     """
     rng = rng_for(0, T_PAIRS, 99)
     idx = rng.integers(0, dataset.num_samples, batch_size)
@@ -331,7 +325,6 @@ def tracker_cost_probe(dataset, model, tracker, batch_size=64, repeats=5):
         ema_times.append(time.perf_counter() - t0)
 
     naive_times = []
-    naive_var = None
     for _ in range(max(2, repeats // 2)):
         t0 = time.perf_counter()
         naive_var = oracle_variance(dataset, model)
@@ -341,30 +334,12 @@ def tracker_cost_probe(dataset, model, tracker, batch_size=64, repeats=5):
     naive_cost = float(min(naive_times))
     ratio = naive_cost / max(ema_cost, 1e-12)
     return CostProbeReport(ema_step_cost=ema_cost, naive_step_cost=naive_cost,
-                           ratio=ratio, ema_v=tracker.v.copy(),
-                           naive_var=naive_var)
+                           ratio=ratio, naive_var=naive_var)
 
 
 # ---------------------------------------------------------------------------
 # csv export
 
-def write_curve_csv(curve, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("reject_rate,fnmr\n")
-        for r, value in curve.points:
-            fh.write(f"{r:.9g},{value:.9g}\n")
-
-
-def write_auc_csv(rows, path):
-    """rows: iterable of (method, fmr, auc)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,fmr,auc\n")
-        for method, fmr, value in rows:
-            fh.write(f"{method},{fmr:.9g},{value:.9g}\n")
-
-
 def write_pairs_csv(pairs, path):
     rows = np.stack([pairs.index_a, pairs.index_b, pairs.genuine], axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("idx_a,idx_b,genuine\n")
-        fh.write(("%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    write_csv(path, "idx_a,idx_b,genuine", "%d,%d,%d", rows.ravel().tolist())

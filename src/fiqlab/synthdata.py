@@ -253,34 +253,15 @@ def _erase_rect(img, rng, lo_frac, hi_frac):
     return out
 
 
-def random_erase(img, rng):
-    """Set a random axis-aligned rectangle (5% to 30% of the image) to 0."""
-    return _erase_rect(img, rng, ERASE_AREA_LO, ERASE_AREA_HI)
-
-
 def jitter_affine(img, gain, shift):
     """Contrast/brightness map clamp(gain*(img - 0.5) + 0.5 + shift)."""
     out = gain * (img - 0.5) + 0.5 + shift
     return np.clip(out, 0.0, 1.0).astype(img.dtype, copy=False)
 
 
-def color_jitter(img, rng):
-    """Randomly modify brightness and contrast (grayscale jitter)."""
-    gain = rng.uniform(JITTER_GAIN_LO, JITTER_GAIN_HI)
-    shift = rng.uniform(-JITTER_SHIFT, JITTER_SHIFT)
-    return jitter_affine(img, gain, shift)
-
-
-def flip_columns(img):
-    """Mirror the image left-right."""
-    return img[:, ::-1].copy()
-
-
 def hflip(img, rng):
     """Mirror left-right with probability 0.5, else return a copy."""
-    if rng.random() < 0.5:
-        return flip_columns(img)
-    return img.copy()
+    return (img[:, ::-1] if rng.random() < 0.5 else img).copy()
 
 
 def augment_stack(imgs, rngs, p=0.3):

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import margin, quality, variance
+from .configio import write_csv
 from .errors import (
     ConfigError,
     FormatError,
@@ -445,12 +446,11 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
 
 
 def write_report_csv(epoch_logs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,l_arc,l_ig,ccs_dist,pearson_var_v,frac_zero_weight\n")
-        for log in epoch_logs:
-            fh.write(f"{log.epoch},{log.l_arc:.9g},{log.l_ig:.9g},"
-                     f"{log.ccs_dist:.9g},{log.pearson_var_v:.9g},"
-                     f"{log.frac_zero_weight:.9g}\n")
+    write_csv(path, "epoch,l_arc,l_ig,ccs_dist,pearson_var_v,frac_zero_weight",
+              "%d" + ",%.9g" * 5,
+              [x for log in epoch_logs for x in (
+                  log.epoch, log.l_arc, log.l_ig, log.ccs_dist,
+                  log.pearson_var_v, log.frac_zero_weight)])
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +510,13 @@ def checkpoint_load(path):
             total_steps=t_total, alpha_start=float(a_start),
             alpha_end=float(a_end))
         state = _train_state(shapes, tracker, float(scale), float(marg))
-        for arr in (state.arena[0], tracker.v, state.arena[1]):
+        arrays = (state.arena[0], tracker.v, state.arena[1])
+        for arr in arrays:
             fh.readinto(arr)
+    # no run saves a NaN or an inf: _finite_or_abort stops training first
+    if not all(np.isfinite(a).all()
+               for a in ((scale, marg, a_start, a_end), *arrays)):
+        raise FormatError("checkpoint holds a non-finite value")
     state.epoch, state.step_in_epoch, state.global_step = (
         epoch, step_in_epoch, global_step)
     return state

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import write_csv
 from .errors import DomainError, StructuralError
 
 SIGMA_FLOOR = 1e-12
@@ -138,8 +139,6 @@ def weights(tracker):
 def export_weights_csv(tracker, path):
     """Write `class_id,v,weight` rows for offline weight-distribution
     analysis."""
-    wv = weights(tracker)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("class_id,v,weight\n")
-        for c in range(tracker.num_classes):
-            fh.write(f"{c},{tracker.v[c]:.9g},{wv.w[c]:.9g}\n")
+    rows = np.stack([np.arange(tracker.num_classes), tracker.v,
+                     weights(tracker).w], axis=1)
+    write_csv(path, "class_id,v,weight", "%d,%.9g,%.9g", rows.ravel().tolist())

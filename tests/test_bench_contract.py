@@ -59,19 +59,56 @@ def test_checkpoint_parses_as_the_benchmark_reads_it(tmp_path):
 # one of its bits shows here, not only in the benchmark's output.
 PROBE_SHA256 = "370ae71c4c0b55b11f394ed2408445962f80b09f8cd9550332bf292a95ad2d2b"
 
+# Every CSV the probe chain writes, by the command that writes it.
+PROBE_CSV_SHA256 = {
+    "run/report.csv":
+        "293fd9597cdfee09eafd3941cb0ef4c66712c9fee347278e52613288f3508d76",
+    "run/class_weights.csv":
+        "dd56cfd4458f9772c5375a71fc7e5ad2c2c9de1c2d541ee316a6a8fde3cafa0e",
+    "score/scores.csv":
+        "655a60a09d1c62b48bb56ca54422a1ebbfa1a966332961a2efc29c3414385d3c",
+    "erc/erc_curve.csv":
+        "7ac533d77c29c66233fdc7a40cffd7636db8ebcb00556eac26c0d884b0e195b8",
+    "erc/erc_auc.csv":
+        "5dec2cdaa02a60da04febda497bbe78de8bfb2ad27e69634e7d62f7fb76734b5",
+    "erc/pairs.csv":
+        "b3c887b1800680f8735e0530a9db1a0e8864a4ff9bfa95444de7955dcee5ff7c",
+}
 
-def test_probe_checkpoint_digest(tmp_path):
+
+@pytest.fixture(scope="module")
+def probe_chain(tmp_path_factory):
+    """The benchmark's probe chain, synth -> train -> score -> erc, run
+    once through the CLI; returns its root directory."""
+    root = tmp_path_factory.mktemp("probe")
     workloads = load("workloads")
     for name, fields in (("synth", workloads.PROBE_SYNTH),
                          ("train", workloads.PROBE_TRAIN)):
-        (tmp_path / f"{name}.cfg").write_text(
+        (root / f"{name}.cfg").write_text(
             "".join(f"{k}={v}\n" for k, v in fields.items()),
             encoding="utf-8")
-    ds = tmp_path / "data" / "ds.bin"
-    assert cli.main(["synth", "--config", str(tmp_path / "synth.cfg"),
-                     "--out", str(ds)]) == 0
-    assert cli.main(["train", "--config", str(tmp_path / "train.cfg"),
-                     "--dataset", str(ds), "--out", str(tmp_path / "run"),
-                     "--variant", "ig"]) == 0
-    ckpt = (tmp_path / "run" / "checkpoint.bin").read_bytes()
-    assert hashlib.sha256(ckpt).hexdigest() == PROBE_SHA256
+    ds, ckpt = root / "data" / "ds.bin", root / "run" / "checkpoint.bin"
+    for argv in (
+            ["synth", "--config", root / "synth.cfg", "--out", ds],
+            ["train", "--config", root / "train.cfg", "--dataset", ds,
+             "--out", root / "run", "--variant", "ig"],
+            ["score", "--checkpoint", ckpt, "--dataset", ds,
+             "--out", root / "score" / "scores.csv"],
+            ["erc", "--checkpoint", ckpt, "--dataset", ds,
+             "--scores", root / "score" / "scores.csv",
+             *workloads.PROBE_ERC, "--out", root / "erc"]):
+        assert cli.main([str(a) for a in argv]) == 0, argv[0]
+    return root
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_probe_checkpoint_digest(probe_chain):
+    assert sha256(probe_chain / "run" / "checkpoint.bin") == PROBE_SHA256
+
+
+def test_probe_csv_digests(probe_chain):
+    assert {name: sha256(probe_chain / name)
+            for name in PROBE_CSV_SHA256} == PROBE_CSV_SHA256

@@ -298,6 +298,23 @@ class TestErc:
             capsys.readouterr().err)
         assert not (workspace / "e").exists()
 
+    @pytest.mark.parametrize("method,scores", [
+        ("a,b", "s.csv"), ("a\rb", "s.csv"), ("a\nb", "s.csv"),
+        (None, "a,b.csv")], ids=["comma", "cr", "lf", "stem"])
+    def test_method_that_breaks_auc_csv_usage_error(self, trained, capsys,
+                                                    method, scores):
+        workspace, ds_path, out_dir = trained
+        erc_dir = workspace / "e"
+        erc_dir.mkdir()
+        argv = ["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                "--dataset", ds_path, "--scores", workspace / scores,
+                "--fmr", "0.05", "--out", erc_dir]
+        if method is not None:
+            argv += ["--method", method]
+        assert run(argv) == 1
+        assert "must not contain ',', CR or LF" in capsys.readouterr().err
+        assert not any(erc_dir.iterdir())
+
     def test_more_nonmated_than_exist_usage_error(self, trained, capsys):
         # 6 classes x 6 samples have 540 cross-class pairs; the default
         # --nonmated asks for 5000
@@ -388,6 +405,28 @@ class TestReport:
         err = capsys.readouterr().err
         assert "header declares" in err
         assert "Traceback" not in err
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("command", ["score", "report"])
+    @pytest.mark.parametrize("offset,value", [
+        (trainer._CKPT_HEADER.size, struct.pack("<f", float("nan"))),  # w1
+        (trainer._CKPT_HEADER.size - 40, struct.pack("<d", float("inf")))],
+        ids=["nan-weight", "inf-scale"])
+    def test_exit_2_and_nothing_written(self, trained, capsys, command,
+                                        offset, value):
+        workspace, ds_path, out_dir = trained
+        raw = bytearray((out_dir / "checkpoint.bin").read_bytes())
+        raw[offset:offset + len(value)] = value
+        bad = workspace / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        out = workspace / "out" / "o.csv"
+        argv = [command, "--checkpoint", bad, "--out", out]
+        if command == "score":
+            argv += ["--dataset", ds_path]
+        assert run(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
 
 class TestSelfcheck:

@@ -45,7 +45,8 @@ def originals(tmp_path_factory):
                             root / "checkpoint.bin")
     (root / "scores.csv").write_text(
         "sample_id,score\n0,0.5\n1,0.25\n2,1e-3\n3,-7\n")
-    cli.write_manifest(root, "synth", ["synth"], {}, {}, [root / "ds.bin"])
+    cli.write_manifest(root, "synth", ["synth"], {}, {}, [root / "ds.bin"],
+                       started=0.0)
     files = {"dataset": "ds.bin", "checkpoint": "checkpoint.bin",
              "synth config": "synth.cfg", "train config": "train.cfg",
              "scores": "scores.csv", "manifest": "manifest.json"}

@@ -349,10 +349,16 @@ class TestRescaleBlur:
             synthdata.rescale_blur(np.zeros((8, 8)), factor)
 
 
+def random_erase(img, rng):
+    """The augmentation's erase of one image."""
+    return synthdata._erase_rect(img, rng, synthdata.ERASE_AREA_LO,
+                                 synthdata.ERASE_AREA_HI)
+
+
 class TestRandomErase:
     def test_erased_pixels_exactly_zero_rest_untouched(self):
         img = rng_for(0, 3).uniform(0.2, 1.0, (24, 24))
-        out = synthdata.random_erase(img, rng_for(0, 4))
+        out = random_erase(img, rng_for(0, 4))
         zeroed = out == 0.0
         assert zeroed.any()
         assert np.array_equal(out[~zeroed], img[~zeroed])
@@ -360,13 +366,13 @@ class TestRandomErase:
     def test_zero_fraction_within_decided_range(self):
         img = np.full((24, 24), 0.5)
         for draw in range(1000):
-            out = synthdata.random_erase(img, rng_for(1, 5, draw))
+            out = random_erase(img, rng_for(1, 5, draw))
             frac = np.mean(out == 0.0)
             assert 0.05 <= frac <= 0.30
 
     def test_rectangle_shape(self):
         img = np.ones((24, 24))
-        out = synthdata.random_erase(img, rng_for(0, 6))
+        out = random_erase(img, rng_for(0, 6))
         rows = np.flatnonzero((out == 0).any(axis=1))
         cols = np.flatnonzero((out == 0).any(axis=0))
         block = out[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
@@ -429,7 +435,11 @@ class TestColorJitter:
     def test_output_clamped(self):
         img = rng_for(0, 8).uniform(0, 1, (16, 16))
         for draw in range(200):
-            out = synthdata.color_jitter(img, rng_for(2, 9, draw))
+            rng = rng_for(2, 9, draw)
+            out = synthdata.jitter_affine(
+                img, rng.uniform(synthdata.JITTER_GAIN_LO,
+                                 synthdata.JITTER_GAIN_HI),
+                rng.uniform(-synthdata.JITTER_SHIFT, synthdata.JITTER_SHIFT))
             assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_hand_evaluated_affine(self):
@@ -438,22 +448,32 @@ class TestColorJitter:
         np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
 
+class Heads:
+    """A generator whose every coin says flip."""
+
+    def random(self):
+        return 0.0
+
+
+def forced_flip(img):
+    return synthdata.hflip(img, Heads())
+
+
 class TestHflip:
     def test_forced_flip_involution(self):
         img = rng_for(0, 10).uniform(0, 1, (12, 12))
-        assert np.array_equal(synthdata.flip_columns(synthdata.flip_columns(img)),
-                              img)
+        assert np.array_equal(forced_flip(forced_flip(img)), img)
 
     def test_symmetric_image_unchanged(self):
         img = rng_for(0, 11).uniform(0, 1, (12, 12))
         sym = 0.5 * (img + img[:, ::-1])
-        assert np.allclose(synthdata.flip_columns(sym), sym)
+        assert np.allclose(forced_flip(sym), sym)
 
     def test_single_pixel_index_map(self):
         side = 10
         img = np.zeros((side, side))
         img[3, 2] = 1.0
-        out = synthdata.flip_columns(img)
+        out = forced_flip(img)
         assert out[3, side - 1 - 2] == 1.0
         assert out.sum() == 1.0
 

@@ -582,9 +582,12 @@ def augment_loop(img, rng, p):
         out = synthdata.rescale_blur(out, rng.uniform(
             synthdata.BLUR_FACTOR_LO, synthdata.BLUR_FACTOR_HI))
     if rng.random() < p:
-        out = synthdata.random_erase(out, rng)
+        out = synthdata._erase_rect(out, rng, synthdata.ERASE_AREA_LO,
+                                    synthdata.ERASE_AREA_HI)
     if rng.random() < p:
-        out = synthdata.color_jitter(out, rng)
+        out = synthdata.jitter_affine(
+            out, rng.uniform(synthdata.JITTER_GAIN_LO, synthdata.JITTER_GAIN_HI),
+            rng.uniform(-synthdata.JITTER_SHIFT, synthdata.JITTER_SHIFT))
     if out is img:
         out = img.copy()
     return out
