@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data/format error,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +33,14 @@ from .errors import (
     NumericError,
     StructuralError,
 )
-from .rngstreams import T_SAMPLE, first_random, rng_for, rngs_for
+from .rngstreams import (
+    T_SAMPLE,
+    StreamDraws,
+    first_random,
+    rng_for,
+    rngs_for,
+    stream_words,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -343,6 +351,43 @@ def cmd_grad_check(args, argv):
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+def _decoded_draws_error(seed, counter, idx):
+    """1.0 unless every draw that augmentation and then degradation
+    decode from the streams ``rng_for(seed, T_SAMPLE, c, i)`` equals what
+    numpy's own method makes on that stream, called with the decoder's
+    ranges, else 0.0.  A last integer and double show where each stream
+    stands afterwards, its buffered half word included."""
+    draws = StreamDraws(functools.partial(stream_words, seed, T_SAMPLE,
+                                          counter, idx), 4)
+    log = []
+    for name in ("random", "uniform", "integers"):
+        def record(*args, _draw=getattr(draws, name), _name=name):
+            out = _draw(*args)
+            log.append((_name, args, out))
+            return out
+        setattr(draws, name, record)
+    rows = np.arange(len(idx))
+    synthdata._augment_draws(draws, len(idx), 24, 0.5)
+    # side 4: some levels' erase ranges round below one pixel and draw
+    # nothing, and some full-width rectangles draw no left offset
+    synthdata._degrade_draws(draws, rows, 1.0 - draws.random(rows), 4)
+    draws.integers(7, rows)
+    draws.random(rows)
+    calls = [[] for _ in rows]
+    for name, (*ranges, at), out in log:
+        ranges = [np.broadcast_to(r, at.shape).tolist() for r in ranges]
+        for j, (k, got) in enumerate(zip(at.tolist(), out.tolist())):
+            calls[k].append((name, [r[j] for r in ranges], got))
+    for k, (c, i) in enumerate(zip(*np.broadcast_arrays(counter, idx))):
+        rng = rng_for(seed, T_SAMPLE, c, i)
+        for name, ranges, got in calls[k]:
+            if name == "integers":
+                ranges = [0, *ranges]
+            if getattr(rng, name)(*ranges) != got:
+                return 1.0
+    return 0.0
+
+
 def _selfchecks():
     checks = []
     for name, err, tol in _grad_checks():
@@ -401,6 +446,11 @@ def _selfchecks():
                             float(np.abs(np.subtract(*draws)).max()),
                             0.0 if same else 1.0)
     checks.append(("batched streams match rng_for", worst, 0.0))
+    # augmentation and degradation decode numpy's Generator draws from
+    # raw words; a numpy whose Generator algorithms drifted would show here
+    worst = max(_decoded_draws_error(seed, counter, idx)
+                for seed in (0, 2 ** 32 - 1) for counter in (2, idx // 25))
+    checks.append(("decoded draws match numpy", worst, 0.0))
 
     thr = evalkit.fmr_threshold([0.1, 0.2, 0.3, 0.4], 0.25)
     checks.append(("fmr threshold hand example", abs(thr - 0.35), 1e-12))

@@ -5,7 +5,9 @@ Every random draw in the package comes from a generator derived from
 mutable generator state.  This makes dataset generation, augmentation,
 and the training loop reproducible bit-for-bit regardless of execution
 order, and lets a resumed run rebuild the exact stream from its
-counters alone.
+counters alone.  Augmentation and degradation decode their draws from
+many streams' raw words at once (``stream_words``, ``StreamDraws``),
+bit for bit what the streams' generators would draw.
 """
 
 import numpy as np
@@ -152,19 +154,113 @@ def stream_states(seed, tag, counter, indices):
     return _pcg_step(state, inc), inc
 
 
+def stream_words(seed, tag, counter, indices, k):
+    """The first ``k`` raw 64-bit outputs (``random_raw``) of
+    ``rng_for(seed, tag, c, i)`` for every pair of ``counter`` and
+    ``indices`` broadcast against each other, bit for bit, computed in
+    one vectorised pass: uint64, their broadcast shape plus ``(k,)``."""
+    state, inc = stream_states(seed, tag, counter, indices)
+    out = np.empty(state[0].shape + (k,), dtype=np.uint64)
+    for j in range(k):
+        state = _pcg_step(state, inc)
+        # XSL-RR output of the new state
+        hi = (state[3] << np.uint64(32)) | state[2]
+        x = hi ^ ((state[1] << np.uint64(32)) | state[0])
+        rot = state[3] >> np.uint64(26)
+        out[..., j] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return out
+
+
+def _doubles(words):
+    """``Generator.random`` of each word: its top 53 bits as a double."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
 def first_random(seed, tag, counter, indices):
     """``rng_for(seed, tag, c, i).random()`` for every pair of ``counter``
-    and ``indices`` broadcast against each other, bit for bit, computed
-    in one vectorised pass; the result has their broadcast shape."""
-    state, inc = stream_states(seed, tag, counter, indices)
-    state = _pcg_step(state, inc)
-    # XSL-RR output of the new state, then the top 53 bits as a double
-    hi = (state[3] << np.uint64(32)) | state[2]
-    lo = (state[1] << np.uint64(32)) | state[0]
-    x = hi ^ lo
-    rot = state[3] >> np.uint64(26)
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    and ``indices`` broadcast against each other; ``stream_words`` with
+    ``k = 1``."""
+    return _doubles(stream_words(seed, tag, counter, indices, 1)[..., 0])
+
+
+def generator_words(rng):
+    """A ``StreamDraws`` source of one stream: the raw words that follow
+    the state ``rng`` is in now, which it leaves as it is."""
+    state = rng.bit_generator.state
+
+    def words(k):
+        bitgen = type(rng.bit_generator)()
+        bitgen.state = state
+        return bitgen.random_raw((1, k))
+    return words
+
+
+class StreamDraws:
+    """numpy ``Generator`` draws of many streams at once, decoded from
+    their raw words with a word cursor per stream.
+
+    ``source(k)`` returns the first ``k`` words of every stream, shape
+    (streams, k), and is asked again for twice as many whenever a stream
+    runs out; only a rejected integer draw needs more than a caller's
+    ``k``.  Each method makes, for every stream of the index array
+    ``rows``, the draw that the ``Generator`` method of its name makes,
+    bit for bit, and moves that stream's cursor as numpy moves its
+    state; so calls in one stream's order continue where its last one
+    stopped.  The cursors start at word ``start``, a scalar or one per
+    stream, with no buffered half word.
+    """
+
+    def __init__(self, source, k, start=0):
+        self._source = source
+        self._words = source(k)
+        n = len(self._words)
+        self._pos = np.array(np.broadcast_to(start, n), dtype=np.intp)
+        # the high half of each stream's last word while it is buffered
+        # for the next 32-bit draw, else -1
+        self._half = np.full(n, -1, dtype=np.int64)
+
+    def _next(self, rows):
+        pos = self._pos[rows]
+        while pos.size and pos.max() >= self._words.shape[1]:
+            self._words = self._source(2 * self._words.shape[1])
+        self._pos[rows] = pos + 1
+        return self._words[rows, pos]
+
+    def _next32(self, rows):
+        """The low half of a new word, or the buffered high half of the
+        last one, as ``next_uint32`` of numpy's PCG64."""
+        half = self._half[rows]
+        fresh = half < 0
+        words = self._next(rows[fresh])
+        half[fresh] = (words & np.uint64(_M32)).astype(np.int64)
+        buffered = np.full(len(rows), -1, dtype=np.int64)
+        buffered[fresh] = (words >> np.uint64(32)).astype(np.int64)
+        self._half[rows] = buffered
+        return half.astype(np.uint64)
+
+    def random(self, rows):
+        return _doubles(self._next(rows))
+
+    def uniform(self, low, high, rows):
+        """``uniform(low, high)``; either bound a scalar or one per row."""
+        return low + (high - low) * _doubles(self._next(rows))
+
+    def integers(self, high, rows):
+        """``integers(0, high)`` for int64 ``high`` in [1, 2**32], a scalar
+        or one per row: Lemire's method on 32-bit draws with numpy's
+        rejection, and no draw at all where ``high`` is 1."""
+        high = np.broadcast_to(np.asarray(high, dtype=np.int64), np.shape(rows))
+        out = np.zeros(len(rows), dtype=np.int64)
+        todo = np.flatnonzero(high > 1)
+        span = high[todo].astype(np.uint64)
+        # products whose low half falls below this are rejected
+        floor = (np.uint64(1 << 32) - span) % span
+        while todo.size:
+            m = self._next32(rows[todo]) * span
+            ok = (m & np.uint64(_M32)) >= floor
+            out[todo[ok]] = (m[ok] >> np.uint64(32)).astype(np.int64)
+            todo, span, floor = todo[~ok], span[~ok], floor[~ok]
+        return out
 
 
 def rngs_for(seed, tag, counter, indices):

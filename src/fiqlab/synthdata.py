@@ -35,9 +35,12 @@ from .rngstreams import (
     T_DEGRADE_SHARED,
     T_SAMPLE,
     T_TEMPLATE,
+    StreamDraws,
     first_random,
+    generator_words,
     rng_for,
     rngs_for,
+    stream_words,
 )
 
 MAGIC = b"IGFQDS1"
@@ -62,6 +65,17 @@ BLUR_FACTOR_HI = 0.95
 _DEG_BLUR_MAX = 0.75
 _DEG_ERASE_MAX = 0.30
 _DEG_GAIN_MAX = 0.4
+
+# Raw words the draws take from a stream, unless an integer draw rejects
+# one: augmentation takes three coins, a factor, an area and an aspect,
+# one word for both erase offsets, a gain and a shift; a degraded normal
+# sample its coin and level, then area, aspect, offsets and shift.
+_AUGMENT_WORDS = 9
+_DEGRADE_WORDS = 6
+
+# Degraded rows one operator pass takes at most, so that the float64
+# block gathered for it does not grow with the dataset.
+_DEGRADE_BLOCK_ROWS = 512
 
 # Fine enough that blur genuinely destroys class detail, the way it
 # destroys identity detail in real face images.
@@ -99,8 +113,9 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if self.pose_spread < 0.0:
-            raise ConfigError("pose_spread must be >= 0")
+        # each comparison is false for NaN
+        if not 0.0 <= self.pose_spread < math.inf:
+            raise ConfigError("pose_spread must be finite and >= 0")
         # rng_for keeps a seed's low 32 bits, so others would alias
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
@@ -220,39 +235,6 @@ def rescale_blur(img, factor):
     return np.clip(out, 0.0, 1.0).astype(img.dtype, copy=False)
 
 
-def _erase_draw(side, rng, lo_frac, hi_frac):
-    """Draw a rectangle covering a fraction of a side x side image in
-    [lo_frac, hi_frac] after integer rounding: (top, left, h, w), empty
-    and drawing nothing when the range rounds below one pixel.
-    """
-    total = side * side
-    lo_px = max(1, math.ceil(lo_frac * total))
-    hi_px = math.floor(hi_frac * total)
-    if hi_px < 1:
-        return 0, 0, 0, 0
-    lo_px = min(lo_px, hi_px)
-    area = rng.uniform(lo_frac, hi_frac) * total
-    aspect = rng.uniform(0.5, 2.0)
-    h_lo = max(1, math.ceil(lo_px / side))
-    h_hi = min(side, hi_px)
-    h = min(max(round(math.sqrt(area * aspect)), h_lo), max(h_lo, h_hi))
-    w_lo = max(1, math.ceil(lo_px / h))
-    w_hi = min(side, hi_px // h)
-    w = min(max(round(area / h), w_lo), max(w_lo, w_hi))
-    top = int(rng.integers(0, side - h + 1))
-    left = int(rng.integers(0, side - w + 1))
-    return top, left, h, w
-
-
-def _erase_rect(img, rng, lo_frac, hi_frac):
-    """A copy of the image, or of every image of a stack, with the
-    rectangle of ``_erase_draw`` zeroed."""
-    top, left, h, w = _erase_draw(img.shape[-1], rng, lo_frac, hi_frac)
-    out = img.copy()
-    out[..., top:top + h, left:left + w] = 0.0
-    return out
-
-
 def jitter_affine(img, gain, shift):
     """Contrast/brightness map clamp(gain*(img - 0.5) + 0.5 + shift)."""
     out = gain * (img - 0.5) + 0.5 + shift
@@ -264,64 +246,113 @@ def hflip(img, rng):
     return (img[:, ::-1] if rng.random() < 0.5 else img).copy()
 
 
-def augment_stack(imgs, rngs, p=0.3):
-    """Augment an (n, side, side) stack in place and return it, image
-    ``k`` drawing from the ``k``-th generator of ``rngs`` all that
-    ``augment`` draws, in its order; then each operator runs once."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
+def _erase_rects(draws, rows, side, lo_frac, hi_frac):
+    """Erase rectangles (top, left, h, w), a (4, len(rows)) int64 array,
+    drawn from the streams ``rows`` of ``draws``: area, aspect, then the
+    offsets.  Each covers a fraction in [lo_frac, hi_frac] (scalars or
+    one per row) of a side x side image after integer rounding; a range
+    that rounds below one pixel draws nothing and gives an empty one.
+    """
+    total = side * side
+    lo_frac, hi_frac = (np.broadcast_to(f, np.shape(rows))
+                        for f in (lo_frac, hi_frac))
+    hi_px = np.floor(hi_frac * total).astype(np.int64)
+    live = hi_px >= 1
+    rows, lo_frac, hi_frac, hi_px = (x[live] for x in (rows, lo_frac, hi_frac,
+                                                       hi_px))
+    lo_px = np.minimum(np.maximum(1, np.ceil(lo_frac * total)), hi_px)
+    area = draws.uniform(lo_frac, hi_frac, rows) * total
+    aspect = draws.uniform(0.5, 2.0, rows)
+    h_lo = np.maximum(1, np.ceil(lo_px / side))
+    h_hi = np.minimum(side, hi_px)
+    h = np.clip(np.round(np.sqrt(area * aspect)), h_lo,
+                np.maximum(h_lo, h_hi)).astype(np.int64)
+    w_lo = np.maximum(1, np.ceil(lo_px / h))
+    w_hi = np.minimum(side, hi_px // h)
+    w = np.clip(np.round(area / h), w_lo, np.maximum(w_lo, w_hi)).astype(np.int64)
+    out = np.zeros((4, live.size), dtype=np.int64)
+    out[:, live] = (draws.integers(side - h + 1, rows),
+                    draws.integers(side - w + 1, rows), h, w)
+    return out
+
+
+def _augment_draws(draws, n, side, p):
+    """What ``augment_stack`` draws for ``n`` images from the streams
+    0..n-1 of ``draws``, each image's draws in stream order: a coin and
+    factor for blur, a coin and rectangle for erase, a coin, gain and
+    shift for jitter; returned as ``_operate`` takes them."""
+    rows = np.arange(n)
+    factor = np.ones(n)
+    blur = rows[draws.random(rows) < p]
+    factor[blur] = draws.uniform(BLUR_FACTOR_LO, BLUR_FACTOR_HI, blur)
+    erase = rows[draws.random(rows) < p]
+    rects = _erase_rects(draws, erase, side, ERASE_AREA_LO, ERASE_AREA_HI)
+    jitter = rows[draws.random(rows) < p]
+    gain = draws.uniform(JITTER_GAIN_LO, JITTER_GAIN_HI, jitter)
+    shift = draws.uniform(-JITTER_SHIFT, JITTER_SHIFT, jitter)
+    return factor, erase, rects, jitter, gain, shift
+
+
+def _degrade_draws(draws, rows, level, side):
+    """What degrading with strength ``level`` in (0, 1], one per row,
+    draws from the streams ``rows`` of ``draws``: an erase rectangle in a
+    level-proportional range, then a jitter shift; blur factor and gain
+    follow from the level.  Returned per row: factor, rectangles, gain
+    and shift."""
+    rects = _erase_rects(draws, rows, side, 0.5 * _DEG_ERASE_MAX * level,
+                         _DEG_ERASE_MAX * level)
+    shift = draws.uniform(-JITTER_SHIFT, JITTER_SHIFT, rows) * level
+    return 1.0 - _DEG_BLUR_MAX * level, rects, 1.0 - _DEG_GAIN_MAX * level, shift
+
+
+def _operate(imgs, factor, erase, rects, jitter, gain, shift):
+    """Run the operators over an (n, side, side) stack in place, in the
+    order blur -> erase -> jitter, and return it: image ``k`` blurred by
+    ``factor[k]`` (1 leaves it), the ``rects`` of the ``erase`` rows
+    zeroed, the ``jitter`` rows mapped by their gain and shift."""
     side = imgs.shape[-1]
-    factor, rects, jitter = np.ones(len(imgs)), {}, {}
-    for k, rng in enumerate(rngs):
-        if rng.random() < p:
-            factor[k] = rng.uniform(BLUR_FACTOR_LO, BLUR_FACTOR_HI)
-        if rng.random() < p:
-            rects[k] = _erase_draw(side, rng, ERASE_AREA_LO, ERASE_AREA_HI)
-        if rng.random() < p:
-            jitter[k] = (rng.uniform(JITTER_GAIN_LO, JITTER_GAIN_HI),
-                         rng.uniform(-JITTER_SHIFT, JITTER_SHIFT))
     # one blur per shrunk size, which every factor of its group gives (both
     # rounds halve to even); a size of ``side`` leaves the image as it is
     small = np.maximum(1, np.round(side * factor))
     for size in np.unique(small[small < side]):
         rows = np.flatnonzero(small == size)
         imgs[rows] = rescale_blur(imgs[rows], factor[rows[0]])
-    for k, (top, left, h, w) in rects.items():
+    for k, top, left, h, w in zip(erase.tolist(), *rects.tolist()):
         imgs[k, top:top + h, left:left + w] = 0.0
-    if jitter:
-        rows = list(jitter)
+    if len(jitter):
         # cast as a Python float is when it meets the image's dtype
-        gain, shift = np.array(list(jitter.values()), dtype=imgs.dtype).T
-        imgs[rows] = jitter_affine(imgs[rows], gain[:, None, None],
-                                   shift[:, None, None])
+        gain, shift = (np.asarray(x, dtype=imgs.dtype)[:, None, None]
+                       for x in (gain, shift))
+        imgs[jitter] = jitter_affine(imgs[jitter], gain, shift)
     return imgs
 
 
+def augment_stack(imgs, words, p=0.3):
+    """Augment an (n, side, side) stack in place and return it: apply each
+    quality-degrading operator to each image independently with
+    probability ``p``, in the fixed order blur -> erase -> jitter.
+
+    Image ``k`` draws from stream ``k`` of ``words``, where ``words(m)``
+    gives the first ``m`` raw words of every stream, (n, m), as
+    ``functools.partial(rngstreams.stream_words, seed, tag, counter,
+    indices)`` does; the draws are decoded from them in one pass, then
+    each operator runs once over the images it applies to.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
+    draws = StreamDraws(words, _AUGMENT_WORDS)
+    return _operate(imgs, *_augment_draws(draws, len(imgs), imgs.shape[-1], p))
+
+
 def augment(img, rng, p=0.3):
-    """Apply each quality-degrading operator independently with
-    probability ``p``, in the fixed order blur -> erase -> jitter; the
-    one-image case of ``augment_stack``.
+    """The one-image case of ``augment_stack``, drawing from ``rng`` as it
+    stands, with no half word buffered (a fresh generator has none), and
+    leaving it so.
 
     With an image-and-epoch-specific ``rng`` this makes augmentation a
     pure function of the stream, so epochs redraw independently.
     """
-    return augment_stack(img[None].copy(), [rng], p)[0]
-
-
-def degrade(img, level, rng):
-    """Apply all three degradation operators with strength proportional
-    to ``level`` in (0, 1].  Used to bake ground-truth quality loss into
-    generated samples.  A stack is degraded with one set of draws, the
-    same for every image.
-    """
-    if not 0.0 < level <= 1.0:
-        raise DomainError(f"degradation level must lie in (0, 1], got {level}")
-    out = rescale_blur(img, 1.0 - _DEG_BLUR_MAX * level)
-    out = _erase_rect(out, rng, 0.5 * _DEG_ERASE_MAX * level,
-                      _DEG_ERASE_MAX * level)
-    gain = 1.0 - _DEG_GAIN_MAX * level
-    shift = rng.uniform(-JITTER_SHIFT, JITTER_SHIFT) * level
-    return jitter_affine(out, gain, shift)
+    return augment_stack(img[None].copy(), generator_words(rng), p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +390,51 @@ def _sample_template(grid, side, dy, dx):
     return top
 
 
+def _degradations(seed, flags, n, side, fraction):
+    """Every degradation draw of a dataset: each row's level (0 where it
+    stays pristine), the degraded rows in order, and their factor,
+    rectangles, gain and shift (``_degrade_draws``).
+
+    A normal sample draws coin, level and operators from its own
+    ``T_DEGRADE`` stream; every coin is taken in one ``first_random``
+    pass, and only the streams of samples it degrades are entered past
+    it.  A duplicate class draws coin and level from ``rng_for(seed,
+    T_DEGRADE, c)``, which is its sample 0's stream (SeedSequence pads
+    trailing zeros), and one set of operator draws from its
+    ``T_DEGRADE_SHARED`` stream, repeated for every sample: the same
+    draws keep the degraded copies within the duplicate tolerance.  All
+    operator draws are decoded in one pass.
+    """
+    c_total = len(flags)
+    labels = np.repeat(np.arange(c_total), n)
+    within = np.tile(np.arange(n), c_total)
+    coin = first_random(seed, T_DEGRADE, labels, within) < fraction
+    hit = (flags[labels] == FLAG_NORMAL) & coin
+    dup = np.flatnonzero((flags == FLAG_DUPLICATE) & coin[::n])
+    shared = np.isin(labels, dup)
+    m = np.count_nonzero(hit)
+
+    def words(k):
+        return np.concatenate([
+            stream_words(seed, T_DEGRADE, labels[hit], within[hit], k),
+            stream_words(seed, T_DEGRADE_SHARED, dup, 0, k)])
+
+    # a normal sample's stream is entered past its coin
+    draws = StreamDraws(words, _DEGRADE_WORDS,
+                        start=np.repeat([1, 0], [m, len(dup)]))
+    level = np.zeros(c_total * n)
+    level[hit] = 1.0 - draws.random(np.arange(m))
+    level[shared] = np.repeat([1.0 - rng_for(seed, T_DEGRADE, c).random(2)[1]
+                               for c in dup.tolist()], n)
+    ops = _degrade_draws(draws, np.arange(m + len(dup)),
+                         np.concatenate([level[hit], level[dup * n]]), side)
+    op_of = np.empty(c_total * n, dtype=np.intp)
+    op_of[hit] = np.arange(m)
+    op_of[shared] = m + np.repeat(np.arange(len(dup)), n)
+    rows = np.flatnonzero(hit | shared)
+    return level, rows, [x[..., op_of[rows]] for x in ops]
+
+
 def gen_dataset(cfg):
     """Generate a dataset deterministically from ``cfg``.
 
@@ -366,11 +442,11 @@ def gen_dataset(cfg):
     and degrade all their samples with one set of operator draws, so the
     class stays a near-identical cluster of (possibly degraded) images;
     this is the mislabel trap the variance guidance is meant to catch.
-    Normal classes draw degradation per sample: coin, level and operator
-    draws all come from the sample's ``T_DEGRADE`` stream.  Every coin is
-    taken in one ``first_random`` pass, and only the streams of samples it
-    degrades are entered, each redrawing its coin.  Per-sample streams are
-    served in class-major order by ``rngs_for``.
+    Normal classes draw degradation per sample (``_degradations``).
+    Per-sample pose and noise streams are served in class-major order by
+    ``rngs_for``.  Degraded rows are gathered across classes into float64
+    blocks of at most ``_DEGRADE_BLOCK_ROWS`` rows, each degraded by one
+    operator pass.
     """
     c_total, n, side = cfg.num_classes, cfg.samples_per_class, cfg.side
     seed = cfg.seed
@@ -383,15 +459,13 @@ def gen_dataset(cfg):
     grid_side = min(_TEMPLATE_GRID, side)
     images = np.empty((c_total * n, side, side), dtype=np.float32)
     labels = np.repeat(np.arange(c_total, dtype=np.uint32), n)
-    levels = np.zeros(c_total * n, dtype=np.float32)
+    level, degraded, ops = _degradations(seed, flags, n, side,
+                                         cfg.degrade_fraction)
+    block = np.empty((min(_DEGRADE_BLOCK_ROWS, degraded.size), side, side))
+    done = 0  # degraded rows written; block holds those gathered since
 
-    within = np.tile(np.arange(n), c_total)
-    normal = flags[labels] == FLAG_NORMAL
-    sample_rngs = rngs_for(seed, T_SAMPLE, labels, within)
-    hit = normal & (first_random(seed, T_DEGRADE, labels, within)
-                    < cfg.degrade_fraction)
-    degrade_rngs = rngs_for(seed, T_DEGRADE, labels[hit], within[hit])
-
+    sample_rngs = rngs_for(seed, T_SAMPLE, labels, np.tile(np.arange(n),
+                                                           c_total))
     for c in range(c_total):
         template = rng_for(seed, T_TEMPLATE, c).uniform(0.0, 1.0,
                                                         (grid_side, grid_side))
@@ -399,37 +473,35 @@ def gen_dataset(cfg):
         # for: a horizontal flip then acts as another pose draw instead
         # of injecting variance the pose model does not account for.
         template = 0.5 * (template + template[:, ::-1])
-        rows = slice(c * n, (c + 1) * n)
         if flags[c] == FLAG_DUPLICATE:
-            class_rng = rng_for(seed, T_DEGRADE, c)
-            degraded_class = class_rng.random() < cfg.degrade_fraction
-            level = 1.0 - class_rng.random() if degraded_class else 0.0
             noise = np.array([
                 rng.uniform(-DUPLICATE_PIXEL_TOL / 4, DUPLICATE_PIXEL_TOL / 4,
                             (side, side)) for rng in islice(sample_rngs, n)])
             imgs = np.clip(_sample_template(template, side, [0.0], [0.0])
                            + noise, 0.0, 1.0)
-            if level > 0.0:
-                # identical draws keep the degraded copies within the
-                # duplicate tolerance
-                imgs = degrade(imgs, level, rng_for(seed, T_DEGRADE_SHARED, c))
-                levels[rows] = level
         else:
             class_pose = cfg.pose_spread * rng_for(seed, T_TEMPLATE, c, 1).uniform(
                 _POSE_SCALE_LO, _POSE_SCALE_HI)
             shifts = np.array([rng.normal(0.0, class_pose, 2)
                                for rng in islice(sample_rngs, n)])
             imgs = _sample_template(template, side, shifts[:, 0], shifts[:, 1])
-            # zip stops at the class's last hit before asking for a stream
-            for i, drng in zip(np.flatnonzero(hit[rows]), degrade_rngs):
-                drng.random()  # the coin first_random took
-                level = 1.0 - drng.random()
-                imgs[i] = degrade(imgs[i], level, drng)
-                levels[c * n + i] = level
-        images[rows] = imgs
+        images[c * n:(c + 1) * n] = imgs
+        lo, hi = np.searchsorted(degraded, [c * n, (c + 1) * n])
+        while lo < hi:
+            stop = min(hi, done + len(block))
+            block[lo - done:stop - done] = imgs[degraded[lo:stop] - c * n]
+            lo = stop
+            if stop - done == len(block) or stop == degraded.size:
+                part, every = slice(done, stop), np.arange(stop - done)
+                factor, rects, gain, shift = (x[..., part] for x in ops)
+                images[degraded[part]] = _operate(
+                    block[:stop - done], factor, every, rects, every, gain,
+                    shift)
+                done = stop
 
     return IdentityDataset(images=images, labels=labels,
-                           degradation_level=levels, class_flags=flags)
+                           degradation_level=level.astype(np.float32),
+                           class_flags=flags)
 
 
 # ---------------------------------------------------------------------------

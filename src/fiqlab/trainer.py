@@ -17,6 +17,7 @@ exact stream of an uninterrupted one.
 """
 
 import dataclasses
+import functools
 import math
 import os
 import struct
@@ -42,7 +43,7 @@ from .rngstreams import (
     T_TRACKED,
     first_random,
     rng_for,
-    rngs_for,
+    stream_words,
 )
 from .synthdata import augment_stack
 from . import evalkit
@@ -337,7 +338,8 @@ def _build_half(dataset, idx, config, epoch, flips):
         part = imgs[:, aug]
         imgs[:, aug] = augment_stack(
             part.reshape(-1, *part.shape[2:]),
-            rngs_for(config.seed, T_AUG, epoch, idx[:, aug].ravel()),
+            functools.partial(stream_words, config.seed, T_AUG, epoch,
+                              idx[:, aug].ravel()),
             config.augment_p).reshape(part.shape)
     return imgs, np.asarray(dataset.labels, dtype=np.int64)[idx]
 

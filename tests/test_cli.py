@@ -100,6 +100,18 @@ class TestSynth:
         assert "bad.cfg: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_pose_spread_refused(self, workspace, capsys, spread):
+        (workspace / "bad.cfg").write_text(
+            f"num_classes=4\nsamples_per_class=3\npose_spread={spread}\n")
+        code = run(["synth", "--config", workspace / "bad.cfg",
+                    "--out", workspace / "out" / "x.bin"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pose_spread must be finite" in err
+        assert "Traceback" not in err
+        assert not (workspace / "out").exists()
+
 
 @pytest.fixture
 def trained(workspace):
@@ -477,6 +489,18 @@ class TestSelfcheck:
                 real(seed, tag, counter, np.asarray(indices) + 1))
         assert cli.main(["selfcheck"]) == 3
         assert "FAIL  batched streams match rng_for" in capsys.readouterr().out
+
+    def test_detects_decoder_off_by_one_word(self, monkeypatch, capsys):
+        # augmentation and degradation decode their draws from raw words;
+        # a cursor one word ahead must show
+        real = rngstreams.StreamDraws.__init__
+
+        def one_word_ahead(self, source, k, start=0):
+            real(self, source, k, np.asarray(start) + 1)
+
+        monkeypatch.setattr(rngstreams.StreamDraws, "__init__", one_word_ahead)
+        assert cli.main(["selfcheck"]) == 3
+        assert "FAIL  decoded draws match numpy" in capsys.readouterr().out
 
     def test_grad_check_command(self, capsys):
         assert cli.main(["grad-check"]) == 0

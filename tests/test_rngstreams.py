@@ -2,7 +2,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiqlab.rngstreams import first_random, rng_for, rngs_for
+from fiqlab.rngstreams import (
+    StreamDraws,
+    first_random,
+    generator_words,
+    rng_for,
+    rngs_for,
+    stream_words,
+)
 
 # negative values and values of 2**32 or more included: both are reduced
 # modulo 2**32
@@ -130,3 +137,71 @@ class TestRngsFor:
 
     def test_empty_indices(self):
         assert list(rngs_for(1, 2, 3, np.arange(0))) == []
+
+
+class TestStreamWords:
+    @given(WIDE_INT, WIDE_INT,
+           st.lists(st.tuples(WIDE_INT, WIDE_INT), max_size=20),
+           st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_random_raw_of_rng_for(self, seed, tag, pairs, k):
+        pairs = [(0, 2 ** 40), (2 ** 32 - 1, 0), (2 ** 32 + 7, -1)] + pairs
+        counters = np.array([c for c, _ in pairs], dtype=np.int64)
+        idx = np.array([i for _, i in pairs], dtype=np.int64)
+        got = stream_words(seed, tag, counters, idx, k)
+        assert got.dtype == np.uint64 and got.shape == (len(pairs), k)
+        want = [rng_for(seed, tag, c, i).bit_generator.random_raw(k).tolist()
+                for c, i in pairs]
+        assert got.tolist() == want
+
+    def test_scalar_counter_broadcasts(self):
+        got = stream_words(8, 4, 3, np.arange(4), 2)
+        assert got.shape == (4, 2)
+        assert np.array_equal(got, stream_words(8, 4, np.full(4, 3),
+                                                np.arange(4), 2))
+
+
+class TestStreamDraws:
+    def test_asks_again_when_a_stream_runs_out(self):
+        idx = np.arange(6)
+        asked = []
+
+        def source(k):
+            asked.append(k)
+            return stream_words(4, 5, 6, idx, k)
+
+        draws = StreamDraws(source, 1)
+        got = [draws.random(idx), draws.integers(24, idx),
+               draws.uniform(0.5, 2.0, idx), draws.integers(idx + 1, idx),
+               draws.integers(2 ** 32, idx), draws.integers(1, idx),
+               draws.random(idx)]
+        assert asked[0] == 1 and len(asked) > 1
+        for k in idx.tolist():
+            rng = rng_for(4, 5, 6, k)
+            want = [rng.random(), rng.integers(0, 24), rng.uniform(0.5, 2.0),
+                    rng.integers(0, k + 1), rng.integers(0, 2 ** 32),
+                    rng.integers(0, 1), rng.random()]
+            assert [g[k] for g in got] == want
+
+    def test_rows_draw_apart(self):
+        # a call for some streams moves only their cursors, which may
+        # start at different words
+        idx = np.arange(4)
+        start = [0, 1, 0, 2]
+        draws = StreamDraws(lambda k: stream_words(1, 2, 3, idx, k), 3,
+                            start=start)
+        rngs = [rng_for(1, 2, 3, k) for k in idx.tolist()]
+        for rng, skip in zip(rngs, start):
+            rng.bit_generator.advance(skip)
+        some = np.array([1, 3])
+        assert draws.integers(5, some).tolist() == [
+            rngs[k].integers(0, 5) for k in (1, 3)]
+        assert draws.random(idx).tolist() == [rng.random() for rng in rngs]
+
+    def test_generator_words_leave_the_generator(self):
+        rng = rng_for(9, 9)
+        rng.random()
+        state = rng.bit_generator.state
+        words = generator_words(rng)(4)
+        assert rng.bit_generator.state == state
+        assert words.tolist() == [rng.bit_generator.random_raw(4).tolist()]

@@ -1,21 +1,28 @@
+import functools
 import hashlib
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiqlab import reference, synthdata
 from fiqlab.errors import ConfigError, DomainError, FormatError
 from fiqlab.rngstreams import (
+    T_AUG,
     T_CLASS_FLAGS,
     T_DEGRADE,
     T_DEGRADE_SHARED,
     T_SAMPLE,
     T_TEMPLATE,
+    StreamDraws,
+    generator_words,
     rng_for,
+    stream_words,
 )
+
+import oracles
 
 
 def small_cfg(**kw):
@@ -44,6 +51,8 @@ class TestConfig:
         {"duplicate_class_fraction": 1.5},
         {"degrade_fraction": -0.1},
         {"pose_spread": -1.0},
+        {"pose_spread": float("nan")},
+        {"pose_spread": float("inf")},
         {"seed": -1},
         {"seed": 2 ** 32},
         {"seed": 2 ** 64 - 1},
@@ -167,7 +176,7 @@ def per_sample_gen_dataset(cfg):
                 img = np.clip(img, 0.0, 1.0)
                 level = class_level
                 if level > 0.0:
-                    img = synthdata.degrade(
+                    img = oracles.degrade(
                         img, level, rng_for(seed, T_DEGRADE_SHARED, c))
             else:
                 dy, dx = srng.normal(0.0, class_pose, 2)
@@ -176,7 +185,7 @@ def per_sample_gen_dataset(cfg):
                 level = 0.0
                 if drng.random() < cfg.degrade_fraction:
                     level = 1.0 - drng.random()
-                    img = synthdata.degrade(img, level, drng)
+                    img = oracles.degrade(img, level, drng)
             images[row] = img
             labels[row] = c
             levels[row] = level
@@ -237,18 +246,20 @@ class TestDegrade:
     @pytest.mark.parametrize("side", [4, 13, 24])
     def test_stack_equals_per_image_with_fresh_streams(self, dtype, level,
                                                         side):
+        # a duplicate class's one shared draw, repeated for every image
         imgs = rng_for(7, side).uniform(0.0, 1.0, (5, side, side))
         imgs = imgs.astype(dtype)
-        got = synthdata.degrade(imgs, level, rng_for(7, 99))
+        draws = StreamDraws(generator_words(rng_for(7, 99)), 4)
+        factor, rects, gain, shift = (
+            np.repeat(x, 5, axis=-1) for x in synthdata._degrade_draws(
+                draws, np.arange(1), np.array([level]), side))
+        every = np.arange(5)
+        got = synthdata._operate(imgs.copy(), factor, every, rects, every,
+                                 gain, shift)
         assert got.dtype == imgs.dtype and got.shape == imgs.shape
         for k in range(5):
-            want = synthdata.degrade(imgs[k], level, rng_for(7, 99))
+            want = oracles.degrade(imgs[k], level, rng_for(7, 99))
             assert got[k].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("level", [0.0, -0.1, 1.5])
-    def test_bad_level(self, level):
-        with pytest.raises(DomainError):
-            synthdata.degrade(np.zeros((8, 8)), level, rng_for(0, 1))
 
 
 class TestDegradeStreams:
@@ -256,17 +267,16 @@ class TestDegradeStreams:
     def test_only_degraded_samples_enter_their_streams(self, monkeypatch,
                                                        fraction):
         entered = []
-        real = synthdata.rngs_for
+        real = synthdata.stream_words
 
-        def counting(seed, tag, counter, indices):
-            pairs = zip(np.broadcast_to(counter, np.shape(indices)).tolist(),
-                        np.asarray(indices).tolist())
-            for pair, rng in zip(pairs, real(seed, tag, counter, indices)):
-                if tag == T_DEGRADE:
-                    entered.append(tuple(pair))
-                yield rng
+        def counting(seed, tag, counter, indices, k):
+            if tag == T_DEGRADE:
+                pairs = zip(*(x.tolist() for x in
+                              np.broadcast_arrays(counter, indices)))
+                entered.extend(pairs)
+            return real(seed, tag, counter, indices, k)
 
-        monkeypatch.setattr(synthdata, "rngs_for", counting)
+        monkeypatch.setattr(synthdata, "stream_words", counting)
         ds = synthdata.gen_dataset(small_cfg(num_classes=8, samples_per_class=6,
                                              degrade_fraction=fraction))
         n = ds.samples_per_class
@@ -277,6 +287,33 @@ class TestDegradeStreams:
             assert entered == []
         else:
             assert entered
+
+
+class TestDegradeBlocks:
+    @pytest.mark.parametrize("cap", [7, synthdata._DEGRADE_BLOCK_ROWS])
+    def test_no_pass_exceeds_the_cap(self, monkeypatch, cap):
+        # more degraded rows than the cap, and duplicate classes of more
+        # samples than it, so a class's rows span two blocks
+        cfg = synthdata.SynthConfig(
+            num_classes=30, samples_per_class=24, side=8,
+            duplicate_class_fraction=0.3, degrade_fraction=0.9, seed=5)
+        passes = []
+        real = synthdata._operate
+
+        def counted(imgs, *args):
+            passes.append(len(imgs))
+            return real(imgs, *args)
+
+        monkeypatch.setattr(synthdata, "_operate", counted)
+        monkeypatch.setattr(synthdata, "_DEGRADE_BLOCK_ROWS", cap)
+        got = synthdata.gen_dataset(cfg)
+        degraded = int(np.count_nonzero(got.degradation_level))
+        assert degraded > synthdata._DEGRADE_BLOCK_ROWS
+        assert sum(passes) == degraded
+        assert max(passes) <= cap
+        want = per_sample_gen_dataset(cfg)
+        for name in ("images", "labels", "degradation_level", "class_flags"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestRescaleBlur:
@@ -349,10 +386,24 @@ class TestRescaleBlur:
             synthdata.rescale_blur(np.zeros((8, 8)), factor)
 
 
+ONE = np.zeros(1, dtype=np.intp)
+
+
+def decoded_erase(img, rng, lo_frac, hi_frac):
+    """One image's erase, its rectangle decoded from the words of
+    ``rng``'s stream; also the draws, their cursor just past it."""
+    draws = StreamDraws(generator_words(rng), 4)
+    rects = synthdata._erase_rects(draws, ONE, img.shape[-1], lo_frac,
+                                   hi_frac)
+    out = synthdata._operate(img[None].copy(), np.ones(1), ONE, rects,
+                             ONE[:0], [], [])
+    return out[0], draws
+
+
 def random_erase(img, rng):
     """The augmentation's erase of one image."""
-    return synthdata._erase_rect(img, rng, synthdata.ERASE_AREA_LO,
-                                 synthdata.ERASE_AREA_HI)
+    return decoded_erase(img, rng, synthdata.ERASE_AREA_LO,
+                         synthdata.ERASE_AREA_HI)[0]
 
 
 class TestRandomErase:
@@ -380,8 +431,8 @@ class TestRandomErase:
 
 
 def erase_rect_numpy_scalars(img, rng, lo_frac, hi_frac):
-    """_erase_rect as it was, with numpy's scalar ceil, floor, sqrt and
-    clip: the oracle for its int and math arithmetic."""
+    """The erase with numpy's scalar ceil, floor, sqrt and clip: the
+    oracle for the decoder's int and float arithmetic."""
     side = img.shape[0]
     total = side * side
     lo_px = max(1, int(np.ceil(lo_frac * total)))
@@ -420,11 +471,130 @@ class TestEraseRectArithmetic:
         else:
             lo, hi = min(u, v), max(u, v)
         img = np.ones((side, side), dtype=np.float32)
-        got_rng, want_rng = rng_for(seed, 90), rng_for(seed, 90)
-        got = synthdata._erase_rect(img, got_rng, lo, hi)
+        want_rng = rng_for(seed, 90)
+        got, draws = decoded_erase(img, rng_for(seed, 90), lo, hi)
         want = erase_rect_numpy_scalars(img, want_rng, lo, hi)
         assert got.tobytes() == want.tobytes()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # both streams stand at the same word, with the same half buffered
+        assert draws.integers(7, ONE)[0] == want_rng.integers(0, 7)
+        assert draws.random(ONE)[0] == want_rng.random()
+
+
+def augment_draws_oracle(rng, side, p):
+    """What augmentation draws from one stream, by numpy's own methods:
+    the blur factor (1 without blur), the erase rectangle (None without
+    erase) and the jitter gain and shift (None without jitter)."""
+    factor = 1.0
+    if rng.random() < p:
+        factor = rng.uniform(synthdata.BLUR_FACTOR_LO, synthdata.BLUR_FACTOR_HI)
+    rect = jitter = None
+    if rng.random() < p:
+        rect = oracles.erase_draw(side, rng, synthdata.ERASE_AREA_LO,
+                                  synthdata.ERASE_AREA_HI)
+    if rng.random() < p:
+        jitter = (rng.uniform(synthdata.JITTER_GAIN_LO, synthdata.JITTER_GAIN_HI),
+                  rng.uniform(-synthdata.JITTER_SHIFT, synthdata.JITTER_SHIFT))
+    return factor, rect, jitter
+
+
+def check_decoded_augment(decoded, k, want):
+    factor, erase, rects, jitter, gain, shift = decoded
+    want_factor, want_rect, want_jitter = want
+    assert factor[k] == want_factor
+    erase, jitter = erase.tolist(), jitter.tolist()
+    assert (k in erase) == (want_rect is not None)
+    if want_rect is not None:
+        assert tuple(rects[:, erase.index(k)].tolist()) == want_rect
+    assert (k in jitter) == (want_jitter is not None)
+    if want_jitter is not None:
+        j = jitter.index(k)
+        assert (gain[j], shift[j]) == want_jitter
+
+
+# PCG64's multiplier, and its inverse modulo 2**128
+PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+PCG_MULT_INV = pow(PCG_MULT, -1, 1 << 128)
+
+
+def generator_with_word(word, at, high=0x9E3779B97F4A7C16,
+                        inc=0xDA3E39CB94B95BDB):
+    """A PCG64 Generator whose raw output number ``at`` (from 0) is
+    ``word``.  XSL-RR outputs rotr64(hi ^ lo, hi >> 58) of the stepped
+    state, so choosing its high half fixes the low; the LCG step is then
+    undone, the multiplier being odd."""
+    rot = high >> 58
+    mixed = ((word << rot) | (word >> (64 - rot))) & (2 ** 64 - 1)
+    state = (high << 64) | (mixed ^ high)
+    for _ in range(at + 1):
+        state = (state - inc) * PCG_MULT_INV % (1 << 128)
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+class TestDecodedDraws:
+    @given(side=st.integers(4, 40),
+           level=st.floats(0.0, 1.0, exclude_min=True),
+           p=st.sampled_from([0.0, 0.3, 1.0]), n=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # every erase range rounds below one pixel and draws nothing
+    @example(side=4, level=0.1, p=1.0, n=3, seed=0)
+    # stream 0 of seed 26 on side 4 erases a full-width row, so its left
+    # offset is integers(0, 1), which takes no word
+    @example(side=4, level=1.0, p=1.0, n=3, seed=26)
+    @settings(max_examples=200, deadline=None)
+    def test_same_draws_as_numpy_per_stream(self, side, level, p, n, seed):
+        # augmentation, then degradation at levels in (0, level], then an
+        # integer and a double to show where each stream stands
+        idx = np.arange(n)
+        draws = StreamDraws(functools.partial(stream_words, seed, T_AUG, 3,
+                                              idx), 9)
+        augmented = synthdata._augment_draws(draws, n, side, p)
+        levels = level * (idx + 1) / n
+        factor, rects, gain, shift = synthdata._degrade_draws(draws, idx,
+                                                              levels, side)
+        tail = draws.integers(7, idx), draws.random(idx)
+        for k in range(n):
+            rng = rng_for(seed, T_AUG, 3, k)
+            check_decoded_augment(augmented, k,
+                                  augment_draws_oracle(rng, side, p))
+            lv = levels[k]
+            assert factor[k] == 1.0 - synthdata._DEG_BLUR_MAX * lv
+            assert gain[k] == 1.0 - synthdata._DEG_GAIN_MAX * lv
+            assert tuple(rects[:, k].tolist()) == oracles.erase_draw(
+                side, rng, 0.5 * synthdata._DEG_ERASE_MAX * lv,
+                synthdata._DEG_ERASE_MAX * lv)
+            assert shift[k] == rng.uniform(-synthdata.JITTER_SHIFT,
+                                           synthdata.JITTER_SHIFT) * lv
+            assert tail[0][k] == rng.integers(0, 7)
+            assert tail[1][k] == rng.random()
+
+    def test_rejected_integer_draw(self):
+        # every coin passes at p = 1; raw word 5 holds both erase offsets,
+        # and its low half of 0 scales to 0, which Lemire's method rejects
+        # for a range that is not a power of two, taking the buffered high
+        # half of all ones instead, which scales to range - 1
+        side = 24
+        word = 0xFFFFFFFF00000000
+        want_rng = generator_with_word(word, 5)
+        assert want_rng.bit_generator.random_raw(6)[5] == word
+        rng = generator_with_word(word, 5)
+        want = augment_draws_oracle(generator_with_word(word, 5), side, 1.0)
+        top, _, h, _ = want[1]
+        span = side - h + 1
+        assert span & (span - 1) != 0
+        assert top == span - 1
+        draws = StreamDraws(generator_words(rng), 9)
+        got = synthdata._augment_draws(draws, 1, side, 1.0)
+        check_decoded_augment(got, 0, want)
+        # the image too, with the next stream word at the jitter coin
+        img = rng_for(3, 4).uniform(0.0, 1.0, (side, side))
+        want_img = synthdata.rescale_blur(img, want[0])
+        want_img[top:top + h, want[1][1]:want[1][1] + want[1][3]] = 0.0
+        want_img = synthdata.jitter_affine(want_img, *want[2])
+        assert synthdata.augment(img, rng, 1.0).tobytes() == want_img.tobytes()
 
 
 class TestColorJitter:

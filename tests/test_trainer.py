@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import functools
 import struct
 from hashlib import sha256
 from pathlib import Path
@@ -13,7 +14,9 @@ from fiqlab import backbone as bb
 from fiqlab import margin, quality, reference, synthdata, trainer, variance
 from fiqlab.configio import build_config
 from fiqlab.errors import ConfigError, FormatError, NumericError
-from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for, rngs_for
+from fiqlab.rngstreams import T_AUG, T_FLIP, T_PERM, rng_for, stream_words
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -582,8 +585,8 @@ def augment_loop(img, rng, p):
         out = synthdata.rescale_blur(out, rng.uniform(
             synthdata.BLUR_FACTOR_LO, synthdata.BLUR_FACTOR_HI))
     if rng.random() < p:
-        out = synthdata._erase_rect(out, rng, synthdata.ERASE_AREA_LO,
-                                    synthdata.ERASE_AREA_HI)
+        out = oracles.erase_rect(out, rng, synthdata.ERASE_AREA_LO,
+                                 synthdata.ERASE_AREA_HI)
     if rng.random() < p:
         out = synthdata.jitter_affine(
             out, rng.uniform(synthdata.JITTER_GAIN_LO, synthdata.JITTER_GAIN_HI),
@@ -666,7 +669,8 @@ class TestAugmentStack:
         want = np.stack([augment_loop(imgs[k], rng_for(seed, T_AUG, 3, k), p)
                          for k in range(n)])
         got = synthdata.augment_stack(
-            imgs.copy(), [rng_for(seed, T_AUG, 3, k) for k in range(n)], p)
+            imgs.copy(), functools.partial(stream_words, seed, T_AUG, 3,
+                                           np.arange(n)), p)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         one = synthdata.augment(imgs[0], rng_for(seed, T_AUG, 3, 0), p)
@@ -675,7 +679,7 @@ class TestAugmentStack:
     def test_pinned_example_erases_full_width(self):
         rng = rng_for(26, T_AUG, 3, 0)
         rng.random(), rng.random(), rng.random()  # blur coin, factor, erase coin
-        top, left, h, w = synthdata._erase_draw(
+        top, left, h, w = oracles.erase_draw(
             4, rng, synthdata.ERASE_AREA_LO, synthdata.ERASE_AREA_HI)
         assert (left, w) == (0, 4)
 
