@@ -172,7 +172,7 @@ def cmd_score(args, argv):
     scores = quality.predict(state.head, emb)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = np.stack([np.arange(len(scores)), scores], axis=1)
-    write_csv(out, "sample_id,score", "%d,%.9g", rows.ravel().tolist())
+    write_csv(out, "sample_id,score", "%d,%.9g", rows.ravel())
     write_manifest(out.parent, "score", argv, {},
                    {"checkpoint": args.checkpoint, "dataset": args.dataset},
                    [out], started=started)
@@ -232,7 +232,7 @@ def cmd_erc(args, argv):
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_csv = out_dir / "erc_curve.csv"
     write_csv(curve_csv, "reject_rate,fnmr", "%.9g,%.9g",
-              curve.points.ravel().tolist())
+              curve.points.ravel())
     auc_csv = out_dir / "erc_auc.csv"
     write_csv(auc_csv, "method,fmr,auc", "%s,%.9g,%.9g",
               [method, args.fmr, curve.auc])

@@ -7,7 +7,13 @@ ConfigError carrying the line number.
 
 import dataclasses
 
+import numpy as np
+
 from .errors import ConfigError
+
+# Rows write_csv formats and writes at a time, so that it never holds the
+# whole file's values as Python objects, nor its text.
+_CSV_BLOCK_ROWS = 4096
 
 
 def text_lines(path, error):
@@ -22,11 +28,18 @@ def text_lines(path, error):
 
 def write_csv(path, header, fmt, values):
     """Write the ``header`` line, then one line of %-format ``fmt`` per
-    row of the row-major flat ``values``, a row having as many values as
-    the header names columns."""
-    rows = len(values) // (header.count(",") + 1)
+    row of the row-major flat ``values``, a list or a 1-D array, a row
+    having as many values as the header names columns.  Rows are
+    formatted and written ``_CSV_BLOCK_ROWS`` at a time."""
+    width = header.count(",") + 1
+    step = _CSV_BLOCK_ROWS * width
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{header}\n" + f"{fmt}\n" * rows % tuple(values))
+        fh.write(f"{header}\n")
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write(f"{fmt}\n" * (len(block) // width) % tuple(block))
 
 
 def read_kv_file(path):

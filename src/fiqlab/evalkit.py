@@ -27,6 +27,9 @@ from .errors import (
 )
 from .rngstreams import T_PAIRS, rng_for
 
+# Pairs whose two gathered embedding rows pair_similarities holds at once.
+_PAIR_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
@@ -108,18 +111,26 @@ def gen_pairs(dataset, max_per_class=None, nonmated_count=0, seed=0):
 
 
 def embed_dataset(model, images, batch_size=256):
-    """Unit-norm embeddings for every image, computed in batches."""
-    chunks = []
-    for start in range(0, images.shape[0], batch_size):
-        emb, _ = bb.forward(model, images[start:start + batch_size])
-        chunks.append(emb)
-    return np.concatenate(chunks, axis=0)
+    """Unit-norm embeddings for every image, computed in batches, each
+    written into the one output array."""
+    out = np.empty((len(images), model.embed_dim), dtype=model.w2.dtype)
+    for start in range(0, len(images), batch_size):
+        out[start:start + batch_size] = bb.forward(
+            model, images[start:start + batch_size])[0]
+    return out
 
 
 def pair_similarities(embeddings, pairs):
-    """Cosine similarity per pair (embeddings assumed row-unit-norm)."""
-    return np.sum(embeddings[pairs.index_a] * embeddings[pairs.index_b],
-                  axis=1)
+    """Cosine similarity per pair (embeddings assumed row-unit-norm),
+    ``_PAIR_BLOCK`` pairs at a time: each row's sum is the one a single
+    pass over every pair would give."""
+    out = np.empty(len(pairs), dtype=embeddings.dtype)
+    for start in range(0, len(pairs), _PAIR_BLOCK):
+        part = slice(start, start + _PAIR_BLOCK)
+        prod = embeddings[pairs.index_a[part]]
+        prod *= embeddings[pairs.index_b[part]]
+        np.sum(prod, axis=1, out=out[part])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,4 +353,4 @@ def tracker_cost_probe(dataset, model, tracker, batch_size=64, repeats=5):
 
 def write_pairs_csv(pairs, path):
     rows = np.stack([pairs.index_a, pairs.index_b, pairs.genuine], axis=1)
-    write_csv(path, "idx_a,idx_b,genuine", "%d,%d,%d", rows.ravel().tolist())
+    write_csv(path, "idx_a,idx_b,genuine", "%d,%d,%d", rows.ravel())

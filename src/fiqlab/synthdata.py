@@ -236,9 +236,14 @@ def rescale_blur(img, factor):
 
 
 def jitter_affine(img, gain, shift):
-    """Contrast/brightness map clamp(gain*(img - 0.5) + 0.5 + shift)."""
-    out = gain * (img - 0.5) + 0.5 + shift
-    return np.clip(out, 0.0, 1.0).astype(img.dtype, copy=False)
+    """Contrast/brightness map clamp(gain*(img - 0.5) + 0.5 + shift) of a
+    float image or stack, into one new array; ``gain`` and ``shift`` are
+    Python floats or arrays of its dtype that broadcast to its shape."""
+    out = np.subtract(img, 0.5)
+    np.multiply(gain, out, out=out)
+    np.add(out, 0.5, out=out)
+    np.add(out, shift, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def hflip(img, rng):
@@ -411,8 +416,10 @@ def _degradations(seed, flags, n, side, fraction):
     coin = first_random(seed, T_DEGRADE, labels, within) < fraction
     hit = (flags[labels] == FLAG_NORMAL) & coin
     dup = np.flatnonzero((flags == FLAG_DUPLICATE) & coin[::n])
-    shared = np.isin(labels, dup)
     m = np.count_nonzero(hit)
+    if not m and not len(dup):  # no stream is entered past its coin
+        return np.zeros(c_total * n), np.empty(0, dtype=np.intp), []
+    shared = np.isin(labels, dup)
 
     def words(k):
         return np.concatenate([

@@ -177,6 +177,8 @@ class TrainState:
     # head_w is the tail from head_start on
     arena: tuple
     head_start: int
+    # arena-sized: where sgd_update puts its intermediate results
+    scratch: np.ndarray
     epoch: int = 0
     step_in_epoch: int = 0
     global_step: int = 0
@@ -191,13 +193,22 @@ class TrainState:
         return params
 
 
+def _aligned_zeros(n):
+    """``n`` zeroed float32s in the checkpoint's byte order, the first on
+    a 64-byte boundary: on an AVX-512 CPU, numpy's float32 add over the
+    arena took about half the time into an output so aligned."""
+    raw = np.zeros(n + 16, dtype="<f4")
+    skip = -raw.ctypes.data % 64 // 4
+    return raw[skip:skip + n]
+
+
 def _train_state(shapes, tracker, scale, marg):
-    """A TrainState over a zeroed arena laid out as ``shapes``."""
+    """A TrainState over a zeroed arena laid out as ``shapes``, each of
+    its parts and the SGD scratch 64-byte aligned."""
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
     # float32 in the checkpoint's byte order: checkpoint_load reads the
     # file straight into it
-    arena = tuple(np.zeros(sum(sizes.values()), dtype="<f4")
-                  for _ in range(3))
+    arena = tuple(_aligned_zeros(sum(sizes.values())) for _ in range(3))
     (params, momentum, grads), offset = ({}, {}, {}), 0
     for name, shape in shapes.items():
         for flat, table in zip(arena, (params, momentum, grads)):
@@ -209,7 +220,7 @@ def _train_state(shapes, tracker, scale, marg):
         bank=margin.PrototypeBank(params["bank_w"], scale=scale, margin=marg),
         head=quality.RegressionHead(params["head_w"]),
         tracker=tracker, momentum=momentum, grads=grads, arena=arena,
-        head_start=offset - sizes["head_w"])
+        head_start=offset - sizes["head_w"], scratch=_aligned_zeros(offset))
 
 
 def init_train_state(config, dataset):
@@ -238,13 +249,20 @@ def init_train_state(config, dataset):
     return state
 
 
-def sgd_update(param, grad, buffer, lr, momentum, weight_decay):
+def sgd_update(param, grad, buffer, lr, momentum, weight_decay,
+               scratch=None):
     """Classical momentum with weight decay folded into the gradient:
     buffer <- momentum*buffer + grad + wd*param; param <- param - lr*buffer.
-    Mutates and returns (param, buffer)."""
-    buffer *= momentum
-    buffer += grad + weight_decay * param
-    param -= lr * buffer
+    The intermediate results go to ``scratch``, an array like ``param``
+    (a new one when None).  Mutates and returns (param, buffer)."""
+    if scratch is None:
+        scratch = np.empty_like(param)
+    np.multiply(buffer, momentum, out=buffer)
+    np.multiply(weight_decay, param, out=scratch)
+    np.add(grad, scratch, out=scratch)
+    np.add(buffer, scratch, out=buffer)
+    np.multiply(lr, buffer, out=scratch)
+    np.subtract(param, scratch, out=param)
     return param, buffer
 
 
@@ -307,7 +325,8 @@ def train_step(state, config, imgs, labels, lr):
     flat_p, flat_m, flat_g = state.arena
     for part, wd in ((slice(0, state.head_start), WEIGHT_DECAY),
                      (slice(state.head_start, None), 0.0)):
-        sgd_update(flat_p[part], flat_g[part], flat_m[part], lr, MOMENTUM, wd)
+        sgd_update(flat_p[part], flat_g[part], flat_m[part], lr, MOMENTUM, wd,
+                   state.scratch[part])
 
     state.global_step += 1
     state.last_step = StepInfo(l_arc=arc.loss, l_ig=reg.loss,

@@ -141,4 +141,4 @@ def export_weights_csv(tracker, path):
     analysis."""
     rows = np.stack([np.arange(tracker.num_classes), tracker.v,
                      weights(tracker).w], axis=1)
-    write_csv(path, "class_id,v,weight", "%d,%.9g,%.9g", rows.ravel().tolist())
+    write_csv(path, "class_id,v,weight", "%d,%.9g,%.9g", rows.ravel())

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -558,6 +559,82 @@ class TestOracleVsRandomQuality:
             random_auc = evalkit.erc(pairs, sims, random_scores, 0.05).auc
             wins += oracle < random_auc
         assert wins >= 4, f"oracle quality won only {wins}/{seeds}"
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes that were allocated at once while
+    it ran, counting only allocations made after the call began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def random_pairs(n, m, seed):
+    rng = rng_for(seed, 61)
+    return PairSet(index_a=rng.integers(0, n, m), index_b=rng.integers(0, n, m),
+                   genuine=np.arange(m) < m // 2)
+
+
+class TestBoundedMemory:
+    """The evaluation kit's memory does not grow with the pair or row
+    count beyond its outputs; the byte pins show that its blocks leave
+    every output byte as it was."""
+
+    def test_pair_similarities_within_block_budget(self):
+        emb = rng_for(3, 60).standard_normal((1000, 16)).astype(np.float32)
+        pairs = random_pairs(1000, 100_000, 1)
+        sims, peak = traced_peak(evalkit.pair_similarities, emb, pairs)
+        # gathering every pair's two rows at once would take 12.8 MB
+        assert peak <= sims.nbytes + (1 << 20)
+
+    def test_embed_dataset_holds_output_and_one_chunk(self):
+        rng = rng_for(3, 62)
+        model = bb.init_backbone(16, rng, hidden_dim=32, embed_dim=64,
+                                 dtype=np.float32)
+        images = rng.uniform(0.0, 1.0, (20_000, 4, 4)).astype(np.float32)
+        _, chunk = traced_peak(bb.forward, model, images[:256])
+        emb, peak = traced_peak(evalkit.embed_dataset, model, images)
+        assert emb.shape == (20_000, 64)
+        assert peak <= emb.nbytes + chunk + (64 << 10)
+
+    def test_write_pairs_csv_within_fixed_bound(self, tmp_path):
+        pairs = random_pairs(5000, 100_000, 2)
+        _, peak = traced_peak(evalkit.write_pairs_csv, pairs,
+                              tmp_path / "pairs.csv")
+        # the (m, 3) int64 rows, and blocks of them as text
+        assert peak <= 24 * len(pairs) + (1 << 20)
+
+    @pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097, 10_001])
+    def test_blocks_equal_one_pass(self, m):
+        emb = rng_for(4, 63).standard_normal((300, 64)).astype(np.float32)
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        pairs = random_pairs(300, m, 3)
+        want = np.sum(emb[pairs.index_a] * emb[pairs.index_b], axis=1)
+        got = evalkit.pair_similarities(emb, pairs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_embed_chunks_equal_one_list(self):
+        rng = rng_for(5, 64)
+        model = bb.init_backbone(36, rng, hidden_dim=20, embed_dim=8,
+                                 dtype=np.float32)
+        images = rng.uniform(0.0, 1.0, (700, 6, 6)).astype(np.float32)
+        want = np.concatenate([bb.forward(model, images[s:s + 256])[0]
+                               for s in range(0, 700, 256)])
+        got = evalkit.embed_dataset(model, images)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 5, 4096, 9000])
+    def test_csv_blocks_equal_one_string(self, tmp_path, m):
+        pairs = random_pairs(50, m, 4)
+        evalkit.write_pairs_csv(pairs, tmp_path / "pairs.csv")
+        rows = np.stack([pairs.index_a, pairs.index_b, pairs.genuine], axis=1)
+        want = "idx_a,idx_b,genuine\n" + "%d,%d,%d\n" * m % tuple(
+            rows.ravel().tolist())
+        assert (tmp_path / "pairs.csv").read_bytes() == want.encode()
 
 
 class TestCostProbe:

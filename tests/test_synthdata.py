@@ -289,6 +289,17 @@ class TestDegradeStreams:
             assert entered
 
 
+    def test_nothing_degraded_decodes_no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no row degrades, so nothing is decoded")
+
+        monkeypatch.setattr(synthdata, "StreamDraws", refuse)
+        ds = synthdata.gen_dataset(small_cfg(num_classes=8, samples_per_class=6,
+                                             duplicate_class_fraction=0.25,
+                                             degrade_fraction=0.0))
+        assert not ds.degradation_level.any()
+
+
 class TestDegradeBlocks:
     @pytest.mark.parametrize("cap", [7, synthdata._DEGRADE_BLOCK_ROWS])
     def test_no_pass_exceeds_the_cap(self, monkeypatch, cap):
@@ -611,6 +622,25 @@ class TestColorJitter:
                                  synthdata.JITTER_GAIN_HI),
                 rng.uniform(-synthdata.JITTER_SHIFT, synthdata.JITTER_SHIFT))
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_same_bytes_as_the_expression(self, dtype, per_row):
+        img = rng_for(0, 9).uniform(-0.2, 1.2, (6, 9, 9)).astype(dtype)
+        rng = rng_for(1, 9)
+        gain = rng.uniform(synthdata.JITTER_GAIN_LO, synthdata.JITTER_GAIN_HI,
+                           6 if per_row else None)
+        shift = rng.uniform(-synthdata.JITTER_SHIFT, synthdata.JITTER_SHIFT,
+                            6 if per_row else None)
+        if per_row:  # as _operate passes them
+            gain, shift = (np.asarray(x, dtype=dtype)[:, None, None]
+                           for x in (gain, shift))
+        before = img.copy()
+        want = np.clip(gain * (img - 0.5) + 0.5 + shift, 0.0, 1.0).astype(
+            dtype, copy=False)
+        got = synthdata.jitter_affine(img, gain, shift)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert img.tobytes() == before.tobytes()
 
     def test_hand_evaluated_affine(self):
         img = np.full((8, 8), 0.5)

@@ -385,12 +385,13 @@ class TestArena:
         for flat, table in zip(state.arena, (state.params(), state.momentum,
                                              state.grads)):
             assert flat.dtype == np.float32 and flat.ndim == 1
-            assert flat.flags.c_contiguous and flat.flags.owndata
+            # flat is the 64-byte aligned stretch of one allocation
+            assert flat.flags.c_contiguous and flat.base.flags.owndata
             assert list(table) == names
             start = flat.__array_interface__["data"][0]
             offset = 0
             for name, arr in table.items():
-                assert arr.base is flat, name
+                assert arr.base is flat.base, name
                 assert arr.flags.c_contiguous, name
                 assert arr.__array_interface__["data"][0] == start + 4 * offset
                 if name == "head_w":
@@ -435,6 +436,63 @@ class TestArena:
             assert p.dtype == b.dtype == np.float32
             assert p.tobytes() == flat[0][lo:hi].tobytes()
             assert b.tobytes() == flat[2][lo:hi].tobytes()
+
+
+def sgd_unfused(param, grad, buffer, lr, momentum, weight_decay):
+    """The six SGD operations with a new array for every intermediate."""
+    buffer *= momentum
+    buffer += grad + weight_decay * param
+    param -= lr * buffer
+
+
+def at_offset(values, offset):
+    """A copy of the 1-D ``values`` whose first byte lies ``offset`` bytes
+    past a 64-byte boundary."""
+    raw = np.zeros(values.size + 32, dtype=values.dtype)
+    skip = (-raw.ctypes.data % 64 + offset) // values.itemsize
+    out = raw[skip:skip + values.size]
+    out[:] = values
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("source", ["init", "load"])
+    def test_arena_and_scratch_are_64_byte_aligned(self, dataset, tmp_path,
+                                                    source):
+        state = trainer.init_train_state(tiny_config(), dataset)
+        if source == "load":
+            trainer.checkpoint_save(state, tmp_path / "c.bin")
+            state = trainer.checkpoint_load(tmp_path / "c.bin")
+        for flat in (*state.arena, state.scratch):
+            assert flat.ctypes.data % 64 == 0
+            assert flat.dtype == np.dtype("<f4")
+            assert flat.size == state.arena[0].size
+        assert not np.shares_memory(state.scratch, state.arena[0])
+
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0, 16, 32, 48]),
+           st.floats(0.0, 1.0), st.floats(0.0, 0.99),
+           st.sampled_from([0.0, 5e-4]))
+    @settings(max_examples=80, deadline=None)
+    def test_scratch_sgd_equals_unfused_at_every_offset(self, size, seed,
+                                                        offset, lr, momentum,
+                                                        wd):
+        rng = rng_for(seed, 94)
+        param, grad, buf = (rng.standard_normal(size).astype(np.float32)
+                            for _ in range(3))
+        want_p, want_b = param.copy(), buf.copy()
+        sgd_unfused(want_p, grad, want_b, lr, momentum, wd)
+        p, g, b, scratch = (at_offset(x, offset) for x in
+                            (param, grad, buf, np.zeros_like(param)))
+        trainer.sgd_update(p, g, b, lr, momentum, wd, scratch)
+        assert p.tobytes() == want_p.tobytes()
+        assert b.tobytes() == want_b.tobytes()
+        # and with a scratch of its own
+        p, b = param.copy(), buf.copy()
+        trainer.sgd_update(p, grad, b, lr, momentum, wd)
+        assert p.tobytes() == want_p.tobytes()
+        assert b.tobytes() == want_b.tobytes()
 
 
 def openblas_core():
