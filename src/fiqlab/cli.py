@@ -158,17 +158,24 @@ def cmd_train(args, argv):
     return EXIT_OK
 
 
+def _embed_stream(model, path):
+    """Embeddings of the dataset file ``path``, read as a stream of
+    256-record blocks, and the stream, which keeps the labels; a side the
+    checkpoint's input does not match is refused before any record."""
+    with synthdata.DatasetStream(path) as stream:
+        if stream.side * stream.side != model.input_dim:
+            raise StructuralError(
+                f"dataset side {stream.side} does not match checkpoint input "
+                f"dim {model.input_dim}")
+        return evalkit.embed_dataset(model, stream), stream
+
+
 def cmd_score(args, argv):
     started = time.time()
     out = Path(args.out)
     manifest_records(out.parent)
     state = trainer.checkpoint_load(args.checkpoint)
-    dataset = synthdata.load_dataset(args.dataset)
-    if dataset.side * dataset.side != state.model.input_dim:
-        raise StructuralError(
-            f"dataset side {dataset.side} does not match checkpoint input "
-            f"dim {state.model.input_dim}")
-    emb = evalkit.embed_dataset(state.model, dataset.images)
+    emb, _ = _embed_stream(state.model, args.dataset)
     scores = quality.predict(state.head, emb)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = np.stack([np.arange(len(scores)), scores], axis=1)
@@ -222,10 +229,9 @@ def cmd_erc(args, argv):
     out_dir = Path(args.out)
     manifest_records(out_dir)
     state = trainer.checkpoint_load(args.checkpoint)
-    dataset = synthdata.load_dataset(args.dataset)
-    scores = _read_scores_csv(args.scores, dataset.num_samples)
-    emb = evalkit.embed_dataset(state.model, dataset.images)
-    pairs = evalkit.gen_pairs(dataset, max_per_class=args.max_per_class,
+    emb, stream = _embed_stream(state.model, args.dataset)
+    scores = _read_scores_csv(args.scores, stream.num_samples)
+    pairs = evalkit.gen_pairs(stream, max_per_class=args.max_per_class,
                               nonmated_count=args.nonmated, seed=args.seed or 0)
     sims = evalkit.pair_similarities(emb, pairs)
     curve = evalkit.erc(pairs, sims, scores, args.fmr, grid_step=args.grid_step)

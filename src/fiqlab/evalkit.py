@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backbone as bb
-from . import variance
+from . import synthdata, variance
 from .configio import write_csv
 from .errors import (
     DomainError,
@@ -58,7 +58,8 @@ def gen_pairs(dataset, max_per_class=None, nonmated_count=0, seed=0):
     ``nonmated_count`` random cross-class pairs.  Deterministic for a
     fixed seed; classes with fewer than two samples simply contribute no
     mated pairs.  Asking for more non-mated pairs than there are distinct
-    cross-class pairs raises DomainError.
+    cross-class pairs raises DomainError.  Of ``dataset`` only ``labels``
+    and ``num_classes`` are read, which a read ``DatasetStream`` has too.
     """
     if nonmated_count < 0 or (max_per_class or 0) < 0:
         raise DomainError(f"pair counts must be >= 0, got max_per_class="
@@ -111,12 +112,20 @@ def gen_pairs(dataset, max_per_class=None, nonmated_count=0, seed=0):
 
 
 def embed_dataset(model, images, batch_size=256):
-    """Unit-norm embeddings for every image, computed in batches, each
-    written into the one output array."""
-    out = np.empty((len(images), model.embed_dim), dtype=model.w2.dtype)
-    for start in range(0, len(images), batch_size):
-        out[start:start + batch_size] = bb.forward(
-            model, images[start:start + batch_size])[0]
+    """Unit-norm embeddings for every image, computed ``batch_size`` rows
+    at a time, each block written into the one output array.  ``images``
+    is an (n, side, side) array or a ``synthdata.DatasetStream``, whose
+    records are then read ``batch_size`` at a time, never held whole."""
+    if isinstance(images, synthdata.DatasetStream):
+        n, blocks = images.num_samples, images.blocks(batch_size)
+    else:
+        n = len(images)
+        blocks = (images[s:s + batch_size] for s in range(0, n, batch_size))
+    out = np.empty((n, model.embed_dim), dtype=model.w2.dtype)
+    start = 0
+    for block in blocks:
+        out[start:start + len(block)] = bb.forward(model, block)[0]
+        start += len(block)
     return out
 
 

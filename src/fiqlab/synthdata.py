@@ -153,25 +153,40 @@ class IdentityDataset:
         return self.images.shape[1]
 
     def validate(self):
-        """Raise FormatError unless every array is in range.  NaN fails
-        the range checks: it propagates through ``min`` and ``max``."""
+        """Raise FormatError unless every array is in range, by the rules
+        ``DatasetStream`` applies to a file."""
         n = self.num_samples
         if self.labels.shape != (n,) or self.degradation_level.shape != (n,):
             raise FormatError("per-sample arrays disagree on sample count")
         if self.images.size == 0:
             raise FormatError("dataset holds no pixels")
-        # labels are checked before bincount, which allocates up to the
-        # largest label
-        if not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
-            raise FormatError(f"labels outside [0, {self.num_classes})")
-        if np.bincount(self.labels, minlength=self.num_classes).min() < 2:
-            raise FormatError("every class must appear at least twice")
-        for name, arr in (("pixel", self.images),
-                          ("degradation level", self.degradation_level)):
-            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-                raise FormatError(f"{name} values outside [0, 1]")
-        if not np.isin(self.class_flags, (FLAG_NORMAL, FLAG_DUPLICATE)).all():
-            raise FormatError("class flags must be 0 (normal) or 1 (duplicate)")
+        _check_flags(self.class_flags)
+        _check_records(self.labels, self.degradation_level, self.images,
+                       self.num_classes)
+        _check_class_counts(self.labels, self.num_classes)
+
+
+def _check_flags(flags):
+    if not np.isin(flags, (FLAG_NORMAL, FLAG_DUPLICATE)).all():
+        raise FormatError("class flags must be 0 (normal) or 1 (duplicate)")
+
+
+def _check_records(labels, levels, pixels, num_classes):
+    """Raise FormatError unless the samples' labels lie in [0,
+    num_classes) and their pixels and levels in [0, 1].  NaN fails the
+    range checks: it propagates through ``min`` and ``max``."""
+    if not 0 <= labels.min() <= labels.max() < num_classes:
+        raise FormatError(f"labels outside [0, {num_classes})")
+    for name, arr in (("pixel", pixels), ("degradation level", levels)):
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise FormatError(f"{name} values outside [0, 1]")
+
+
+def _check_class_counts(labels, num_classes):
+    """Every class must appear at least twice.  The labels must already
+    be in range: bincount allocates up to the largest."""
+    if np.bincount(labels, minlength=num_classes).min() < 2:
+        raise FormatError("every class must appear at least twice")
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +541,16 @@ def _record_dtype(side):
                      ("pixels", "<f4", (side, side))])
 
 
-def _record_chunks(total, side):
-    """Yield (start, records) over consecutive blocks of the ``total``
-    rows, each block a view of one reused record buffer."""
-    dtype = _record_dtype(side)
-    rows = max(1, _IO_CHUNK_BYTES // dtype.itemsize)
-    buffer = np.empty(min(rows, total), dtype=dtype)
+def _chunk_rows(side):
+    """The records of side ``side`` that fill ``_IO_CHUNK_BYTES``, at
+    least one."""
+    return max(1, _IO_CHUNK_BYTES // _record_dtype(side).itemsize)
+
+
+def _record_chunks(total, side, rows):
+    """Yield (start, records) over consecutive blocks of ``rows`` of the
+    ``total`` records, each block a view of one reused record buffer."""
+    buffer = np.empty(min(rows, total), dtype=_record_dtype(side))
     for start in range(0, total, rows):
         yield start, buffer[:min(rows, total - start)]
 
@@ -545,7 +564,8 @@ def save_dataset(dataset, path):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", c_total, n, side))
-        for start, records in _record_chunks(dataset.num_samples, side):
+        for start, records in _record_chunks(dataset.num_samples, side,
+                                             _chunk_rows(side)):
             stop = start + len(records)
             records["label"] = dataset.labels[start:stop]
             records["level"] = dataset.degradation_level[start:stop]
@@ -562,22 +582,46 @@ def _read_exact(fh, count, what):
     return data
 
 
-def load_dataset(path):
-    """Read a dataset container file; raises FormatError on corruption.
+class DatasetStream:
+    """A dataset container file read front to back, a block of records
+    at a time, without its images ever held whole; raises FormatError on
+    corruption.  Use it as a context manager, which closes the file.
 
-    The file length is checked against the size its header declares
-    before anything is allocated, so a corrupt header cannot demand more
-    memory than the file could fill.
+    Opening it checks the magic and the header, the file length against
+    the size the header declares (before anything is allocated, so a
+    corrupt header cannot demand more memory than the file could fill),
+    and the class flags at the file's tail.  ``blocks`` then reads the
+    records once, checking each block's labels, levels and pixels before
+    handing it out, and checks after the last that every class appears
+    at least twice.  The labels and levels read so far are kept in
+    ``labels`` and ``degradation_level``.
     """
-    with open(path, "rb") as fh:
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def _read_header(self):
+        fh = self._fh
         magic = _read_exact(fh, len(MAGIC), "magic")
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}",
                               offset=0)
         c_total, n, side = struct.unpack("<III", _read_exact(fh, 12, "header"))
         total = c_total * n
+        start = fh.tell()
         # a record is a u32 label, an f32 level and side*side f32 pixels
-        declared = fh.tell() + total * (8 + 4 * side * side) + c_total
+        declared = start + total * (8 + 4 * side * side) + c_total
         size = os.fstat(fh.fileno()).st_size
         if size < declared:
             raise FormatError(
@@ -586,21 +630,52 @@ def load_dataset(path):
                 f"but the file has {size}", offset=size)
         if size > declared:
             raise FormatError("unexpected trailing bytes", offset=declared)
-        images = np.empty((total, side, side), dtype=np.float32)
-        labels = np.empty(total, dtype=np.uint32)
-        levels = np.empty(total, dtype=np.float32)
-        for start, records in _record_chunks(total, side):
+        if total * side == 0:
+            raise FormatError("dataset holds no pixels")
+        fh.seek(declared - c_total)
+        flags = np.frombuffer(_read_exact(fh, c_total, "class flags"),
+                              dtype=np.uint8).copy()
+        _check_flags(flags)
+        fh.seek(start)
+        self.num_classes, self.num_samples, self.side = c_total, total, side
+        self.class_flags = flags
+        self.labels = np.empty(total, dtype=np.uint32)
+        self.degradation_level = np.empty(total, dtype=np.float32)
+
+    def blocks(self, rows, out=None):
+        """Yield the pixels of each block of ``rows`` records in file
+        order, a (k, side, side) float32 array: the block's rows of
+        ``out`` where it is given, else one reused buffer, which the next
+        block overwrites."""
+        fh = self._fh
+        if out is None:
+            buffer = np.empty((min(rows, self.num_samples), self.side,
+                               self.side), dtype=np.float32)
+        for start, records in _record_chunks(self.num_samples, self.side,
+                                             rows):
             stop = start + len(records)
             if fh.readinto(records.view(np.uint8)) != records.nbytes:
                 raise FormatError(
                     f"truncated dataset file while reading samples "
                     f"{start}..{stop - 1}", offset=fh.tell())
-            labels[start:stop] = records["label"]
-            levels[start:stop] = records["level"]
-            images[start:stop] = records["pixels"]
-        flags = np.frombuffer(
-            _read_exact(fh, c_total, "class flags"), dtype=np.uint8).copy()
-    ds = IdentityDataset(images=images, labels=labels,
-                         degradation_level=levels, class_flags=flags)
-    ds.validate()
-    return ds
+            pixels = buffer[:stop - start] if out is None else out[start:stop]
+            pixels[...] = records["pixels"]
+            _check_records(records["label"], records["level"], pixels,
+                           self.num_classes)
+            self.labels[start:stop] = records["label"]
+            self.degradation_level[start:stop] = records["level"]
+            yield pixels
+        _check_class_counts(self.labels, self.num_classes)
+
+
+def load_dataset(path):
+    """Read a dataset container file whole, through ``DatasetStream`` and
+    its checks, ``_IO_CHUNK_BYTES`` of records at a time."""
+    with DatasetStream(path) as stream:
+        images = np.empty((stream.num_samples, stream.side, stream.side),
+                          dtype=np.float32)
+        for _ in stream.blocks(_chunk_rows(stream.side), out=images):
+            pass
+    return IdentityDataset(images=images, labels=stream.labels,
+                           degradation_level=stream.degradation_level,
+                           class_flags=stream.class_flags)

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -587,3 +588,157 @@ class TestManifest:
         run(["train", "--config", workspace / "train.cfg",
              "--dataset", ds_path, "--out", workspace / "r2"])
         assert ds_path.read_bytes() == before
+
+
+# A side-12 set of 50 classes x 12 samples: its 600 records make two full
+# 256-record blocks and a last one of 88 (records 512..599), class 49's
+# twelve records 588..599 among them.
+STREAM_SYNTH_CFG = ("num_classes=50\nsamples_per_class=12\nside=12\n"
+                    "duplicate_class_fraction=0.2\npose_spread=0.8\n"
+                    "degrade_fraction=0.3\nseed=21\n")
+RECORD = 8 + 4 * 12 * 12
+
+
+def record_at(i):
+    """Byte offset of record ``i``: after the 19-byte header, a u32
+    label, the f32 level, then the pixels."""
+    return 19 + i * RECORD
+
+
+def last_block_fault(raw, fault):
+    """``raw``, a 600-record container, with ``fault`` in its last
+    256-record block (or, for the flags, in the tail after it)."""
+    raw = bytearray(raw)
+    if fault == "nan pixel":
+        at = record_at(599) + 8 + 4 * 5
+        raw[at:at + 4] = struct.pack("<f", np.nan)
+    elif fault == "nan level":
+        raw[record_at(599) + 4:record_at(599) + 8] = struct.pack("<f", np.nan)
+    elif fault == "label":
+        raw[record_at(599):record_at(599) + 4] = struct.pack("<I", 50)
+    elif fault == "class seen once":
+        for i in range(588, 599):
+            raw[record_at(i):record_at(i) + 4] = struct.pack("<I", 48)
+    elif fault == "truncated":
+        raw = raw[:record_at(590) + 100]
+    elif fault == "flag 7":
+        raw[-1] = 7
+    return bytes(raw)
+
+
+@pytest.fixture
+def stream_set(trained):
+    """The trained checkpoint, a valid 600-record set of its side, and a
+    valid scores file for that set."""
+    workspace, _, out_dir = trained
+    (workspace / "stream.cfg").write_text(STREAM_SYNTH_CFG)
+    ds_path = workspace / "stream" / "ds.bin"
+    assert run(["synth", "--config", workspace / "stream.cfg",
+                "--out", ds_path]) == 0
+    scores = workspace / "stream-scores.csv"
+    scores.write_text("sample_id,score\n"
+                      + "".join(f"{i},0.5\n" for i in range(600)))
+    return workspace, out_dir / "checkpoint.bin", ds_path, scores
+
+
+def eval_argv(command, ckpt, dataset, scores, out):
+    if command == "score":
+        return ["score", "--checkpoint", ckpt, "--dataset", dataset,
+                "--out", out / "s.csv"]
+    return ["erc", "--checkpoint", ckpt, "--dataset", dataset,
+            "--scores", scores, "--fmr", "0.05", "--nonmated", "200",
+            "--out", out]
+
+
+class TestStreamedEvaluation:
+    """score and erc read the dataset as a stream of 256-record blocks:
+    every fault a whole load refuses, they refuse too, with its message,
+    before writing anything."""
+
+    def test_valid_set_passes(self, stream_set):
+        workspace, ckpt, ds_path, scores = stream_set
+        for command in ("score", "erc"):
+            assert run(eval_argv(command, ckpt, ds_path, scores,
+                                 workspace / command)) == 0
+
+    @pytest.mark.parametrize("command", ["score", "erc"])
+    def test_side_mismatch_refused_before_any_record(self, stream_set,
+                                                     capsys, command):
+        # a side-8 set whose first record is also bad: the side, read from
+        # the header, is refused before any record is read
+        workspace, ckpt, _, scores = stream_set
+        (workspace / "side8.cfg").write_text(
+            "num_classes=4\nsamples_per_class=4\nside=8\n")
+        other = workspace / "side8" / "ds.bin"
+        assert run(["synth", "--config", workspace / "side8.cfg",
+                    "--out", other]) == 0
+        raw = bytearray(other.read_bytes())
+        raw[19 + 8:19 + 12] = struct.pack("<f", np.nan)
+        other.write_bytes(bytes(raw))
+        out = workspace / "o"
+        assert run(eval_argv(command, ckpt, other, scores, out)) == 2
+        err = capsys.readouterr().err
+        assert "dataset side 8 does not match checkpoint input dim 144" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "erc"])
+    @pytest.mark.parametrize("fault", [
+        "nan pixel", "nan level", "label", "class seen once", "truncated",
+        "flag 7"])
+    def test_fault_in_last_block_exit_2_and_nothing_written(
+            self, stream_set, capsys, command, fault):
+        workspace, ckpt, ds_path, scores = stream_set
+        bad = workspace / "bad.bin"
+        bad.write_bytes(last_block_fault(ds_path.read_bytes(), fault))
+        with pytest.raises(FormatError) as refused:
+            synthdata.load_dataset(bad)
+        out = workspace / "o"
+        assert run(eval_argv(command, ckpt, bad, scores, out)) == 2
+        err = capsys.readouterr().err
+        assert str(refused.value) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "erc"])
+    def test_several_faults_name_one(self, stream_set, capsys, command):
+        workspace, ckpt, ds_path, scores = stream_set
+        raw = ds_path.read_bytes()
+        for fault in ("nan pixel", "label", "class seen once"):
+            raw = last_block_fault(raw, fault)
+        bad = workspace / "bad.bin"
+        bad.write_bytes(raw)
+        out = workspace / "o"
+        assert run(eval_argv(command, ckpt, bad, scores, out)) == 2
+        err = capsys.readouterr().err
+        assert any(message in err for message in (
+            "pixel values outside", "labels outside [0, 50)",
+            "every class must appear at least twice"))
+        assert not out.exists()
+
+    def test_score_memory_is_output_plus_blocks(self, tmp_path):
+        # 100 classes x 37 records of side 24: 8.55 MB of records, more
+        # than the fixed budget below and the embeddings together
+        rng = rngstreams.rng_for(7, 70)
+        ds = synthdata.IdentityDataset(
+            images=rng.uniform(0.0, 1.0, (3700, 24, 24)).astype(np.float32),
+            labels=np.repeat(np.arange(100, dtype=np.uint32), 37),
+            degradation_level=np.zeros(3700, dtype=np.float32),
+            class_flags=np.zeros(100, dtype=np.uint8))
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        assert path.stat().st_size >= 8 << 20
+        config = trainer.TrainConfig(hidden_dim=32, embed_dim=16)
+        trainer.checkpoint_save(trainer.init_train_state(config, ds),
+                                tmp_path / "ckpt.bin")
+        del ds
+        tracemalloc.start()
+        try:
+            assert run(["score", "--checkpoint", tmp_path / "ckpt.bin",
+                        "--dataset", path, "--out", tmp_path / "s.csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 embeddings, then 4 MiB: two 256-record blocks (the
+        # records and their pixels, 0.6 MB each), one block's forward pass,
+        # the labels, levels and scores, and the CSV blocks
+        assert peak <= 3700 * 16 * 4 + (4 << 20)

@@ -637,6 +637,30 @@ class TestBoundedMemory:
         assert (tmp_path / "pairs.csv").read_bytes() == want.encode()
 
 
+class TestStreamedEmbedding:
+    @pytest.mark.parametrize("n,classes", [(255, 3), (256, 2), (258, 3),
+                                           (514, 2)])
+    def test_same_bytes_as_the_loaded_array(self, tmp_path, n, classes):
+        # hidden width 256, where grouping rows differently changes bytes;
+        # a stream ends on a block of n % 256 rows, as slicing does
+        rng = rng_for(6, 65)
+        model = bb.init_backbone(24 * 24, rng, hidden_dim=256, embed_dim=64,
+                                 dtype=np.float32)
+        ds = synthdata.IdentityDataset(
+            images=rng.uniform(0.0, 1.0, (n, 24, 24)).astype(np.float32),
+            labels=np.repeat(np.arange(classes, dtype=np.uint32),
+                             n // classes),
+            degradation_level=np.zeros(n, dtype=np.float32),
+            class_flags=np.zeros(classes, dtype=np.uint8))
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        want = evalkit.embed_dataset(model, synthdata.load_dataset(path).images)
+        with synthdata.DatasetStream(path) as stream:
+            got = evalkit.embed_dataset(model, stream)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert stream.labels.tobytes() == ds.labels.tobytes()
+
+
 class TestCostProbe:
     def test_semantic_outputs_present(self):
         ds = tiny_dataset(num_classes=3, samples=6, seed=9)

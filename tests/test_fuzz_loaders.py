@@ -2,9 +2,11 @@
 
 Each mutated file, overwritten, truncated or extended, must either load
 or raise a FiqError subclass: never another exception, and never a
-wrong-sized allocation.
+wrong-sized allocation.  A dataset read as a stream of blocks must give
+the arrays a whole load gives.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,26 @@ SYNTH_CFG = ("num_classes=2\nsamples_per_class=2\nside=4\n"
 TRAIN_CFG = ("batch_size=2\nepochs=1\nembed_dim=4\nhidden_dim=4\n"
              "lig_reduction=mean\nseed=2\n")
 
+
+def streamed_dataset(path):
+    """A ``DatasetStream`` read to its end, three records a block; where
+    it succeeds, a whole load succeeds too and gives the same arrays."""
+    with synthdata.DatasetStream(path) as stream:
+        images = np.concatenate([block.copy() for block in stream.blocks(3)])
+    try:
+        loaded = synthdata.load_dataset(path)
+    except FiqError as exc:
+        raise AssertionError(
+            f"the stream read what a load refuses: {exc}") from exc
+    for got, want in [(images, loaded.images), (stream.labels, loaded.labels),
+                      (stream.degradation_level, loaded.degradation_level),
+                      (stream.class_flags, loaded.class_flags)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 LOADERS = {
     "dataset": synthdata.load_dataset,
+    "dataset stream": streamed_dataset,
     "checkpoint": trainer.checkpoint_load,
     "synth config": lambda path: build_config(
         synthdata.SynthConfig, path,
@@ -47,7 +67,8 @@ def originals(tmp_path_factory):
         "sample_id,score\n0,0.5\n1,0.25\n2,1e-3\n3,-7\n")
     cli.write_manifest(root, "synth", ["synth"], {}, {}, [root / "ds.bin"],
                        started=0.0)
-    files = {"dataset": "ds.bin", "checkpoint": "checkpoint.bin",
+    files = {"dataset": "ds.bin", "dataset stream": "ds.bin",
+             "checkpoint": "checkpoint.bin",
              "synth config": "synth.cfg", "train config": "train.cfg",
              "scores": "scores.csv", "manifest": "manifest.json"}
     raw = {kind: (root / name).read_bytes() for kind, name in files.items()}

@@ -825,3 +825,49 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             synthdata.load_dataset(path)
+
+
+class TestDatasetStream:
+    def saved(self, tmp_path):
+        ds = synthdata.gen_dataset(small_cfg(degrade_fraction=0.4))
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        return ds, path
+
+    @pytest.mark.parametrize("rows", [1, 5, 24, 100])
+    def test_blocks_are_the_records_in_order(self, tmp_path, rows):
+        ds, path = self.saved(tmp_path)
+        with synthdata.DatasetStream(path) as stream:
+            assert (stream.num_samples, stream.num_classes, stream.side) == (
+                24, 6, 16)
+            blocks = [block.copy() for block in stream.blocks(rows)]
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == ds.images.tobytes()
+        assert stream.labels.tobytes() == ds.labels.tobytes()
+        assert (stream.degradation_level.tobytes()
+                == ds.degradation_level.tobytes())
+        assert stream.class_flags.tobytes() == ds.class_flags.tobytes()
+
+    def test_tail_flags_refused_when_opened(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="class flags must be 0"):
+            synthdata.DatasetStream(path)
+
+    def test_class_count_checked_after_the_last_block(self, tmp_path):
+        # samples 20..22 relabelled from class 5 to class 4: class 5 then
+        # appears once, in the last block, which passes its own checks
+        _, path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        for i in (20, 21, 22):
+            at = 19 + i * (8 + 4 * 16 * 16)
+            raw[at:at + 4] = struct.pack("<I", 4)
+        path.write_bytes(bytes(raw))
+        with synthdata.DatasetStream(path) as stream:
+            blocks = stream.blocks(8)
+            for _ in range(3):
+                next(blocks)
+            with pytest.raises(FormatError, match="at least twice"):
+                next(blocks)
