@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from fiqlab import reference
+from fiqlab.configio import write_csv
 
 
 def main():
@@ -32,17 +33,14 @@ def main():
             for seed in range(args.seeds)]
 
     csv_path = out_dir / "correlation.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("seed,rho_epoch2,rho_final_scheduled,"
-                 "rho_final_alpha0.9,rho_final_alpha0.99,"
-                 "dup_zero_fraction,normal_high_fraction\n")
-        for r in runs:
-            fh.write(f"{r.seed},{r.rho_epoch2:.6f},"
-                     f"{r.rho_final_scheduled:.6f},"
-                     f"{r.rho_final_fixed[0.9]:.6f},"
-                     f"{r.rho_final_fixed[0.99]:.6f},"
-                     f"{r.dup_zero_fraction:.4f},"
-                     f"{r.normal_high_fraction:.4f}\n")
+    write_csv(csv_path, "seed,rho_epoch2,rho_final_scheduled,"
+              "rho_final_alpha0.9,rho_final_alpha0.99,"
+              "dup_zero_fraction,normal_high_fraction",
+              "%d" + ",%.6f" * 4 + ",%.4f" * 2,
+              [x for r in runs for x in (
+                  r.seed, r.rho_epoch2, r.rho_final_scheduled,
+                  r.rho_final_fixed[0.9], r.rho_final_fixed[0.99],
+                  r.dup_zero_fraction, r.normal_high_fraction)])
 
     rho2 = np.mean([r.rho_epoch2 for r in runs])
     sched = np.mean([r.rho_final_scheduled for r in runs])

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from fiqlab import reference
+from fiqlab.configio import write_csv
 
 
 def main():
@@ -44,15 +45,12 @@ def main():
               f"cr-aug={run.clean_fnmr['cr-aug']:.3f}")
 
     csv_path = out_dir / "comparison.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("seed,auc_ig,auc_cr,fnmr_ig,fnmr_cr,fnmr_cr_aug,"
-                 "rank_ig,rank_cr\n")
-        for r in runs:
-            fh.write(f"{r.seed},{r.auc['ig']:.6f},{r.auc['cr']:.6f},"
-                     f"{r.clean_fnmr['ig']:.6f},{r.clean_fnmr['cr']:.6f},"
-                     f"{r.clean_fnmr['cr-aug']:.6f},"
-                     f"{r.score_quality_rank['ig']:.4f},"
-                     f"{r.score_quality_rank['cr']:.4f}\n")
+    write_csv(csv_path, "seed,auc_ig,auc_cr,fnmr_ig,fnmr_cr,fnmr_cr_aug,"
+              "rank_ig,rank_cr", "%d" + ",%.6f" * 5 + ",%.4f" * 2,
+              [x for r in runs for x in (
+                  r.seed, r.auc["ig"], r.auc["cr"], r.clean_fnmr["ig"],
+                  r.clean_fnmr["cr"], r.clean_fnmr["cr-aug"],
+                  r.score_quality_rank["ig"], r.score_quality_rank["cr"])])
 
     ig = np.array([r.auc["ig"] for r in runs])
     cr = np.array([r.auc["cr"] for r in runs])

@@ -148,7 +148,7 @@ def cmd_train(args, argv):
     weights_csv = out_dir / "class_weights.csv"
     variance.export_weights_csv(state.tracker, weights_csv)
     outputs = [ckpt, report, weights_csv]
-    outputs += sorted(out_dir.glob("ckpt_epoch*.bin"))
+    outputs += trainer.epoch_checkpoints(cfg, out_dir).values()
     write_manifest(out_dir, "train", argv,
                    dict(vars(cfg), variant=args.variant),
                    {"config": args.config, "dataset": args.dataset},
@@ -160,8 +160,9 @@ def cmd_train(args, argv):
 
 def _embed_stream(model, path):
     """Embeddings of the dataset file ``path``, read as a stream of
-    256-record blocks, and the stream, which keeps the labels; a side the
-    checkpoint's input does not match is refused before any record."""
+    ``synthdata.BLOCK_ROWS``-record blocks, and the stream, which keeps
+    the labels; a side the checkpoint's input does not match is refused
+    before any record."""
     with synthdata.DatasetStream(path) as stream:
         if stream.side * stream.side != model.input_dim:
             raise StructuralError(

@@ -111,21 +111,20 @@ def gen_pairs(dataset, max_per_class=None, nonmated_count=0, seed=0):
                    genuine=np.arange(index_a.size) < mated)
 
 
-def embed_dataset(model, images, batch_size=256):
-    """Unit-norm embeddings for every image, computed ``batch_size`` rows
-    at a time, each block written into the one output array.  ``images``
-    is an (n, side, side) array or a ``synthdata.DatasetStream``, whose
-    records are then read ``batch_size`` at a time, never held whole."""
+def embed_dataset(model, images):
+    """Unit-norm embeddings for every image, computed
+    ``synthdata.BLOCK_ROWS`` rows at a time, each block written into the
+    one output array.  ``images`` is an (n, side, side) array or a
+    ``synthdata.DatasetStream``, whose records are then read a block at
+    a time, never held whole."""
     if isinstance(images, synthdata.DatasetStream):
-        n, blocks = images.num_samples, images.blocks(batch_size)
+        n, blocks = images.num_samples, images.blocks()
     else:
-        n = len(images)
-        blocks = (images[s:s + batch_size] for s in range(0, n, batch_size))
+        n, rows = len(images), synthdata.BLOCK_ROWS
+        blocks = ((s, images[s:s + rows]) for s in range(0, n, rows))
     out = np.empty((n, model.embed_dim), dtype=model.w2.dtype)
-    start = 0
-    for block in blocks:
+    for start, block in blocks:
         out[start:start + len(block)] = bb.forward(model, block)[0]
-        start += len(block)
     return out
 
 

@@ -163,6 +163,11 @@ class IdentityDataset:
         _check_flags(self.class_flags)
         _check_records(self.labels, self.degradation_level, self.images,
                        self.num_classes)
+        # the labels are in range, so there is at least one class
+        if n != self.num_classes * self.samples_per_class:
+            raise FormatError(
+                f"{n} samples are not {self.num_classes} classes of one "
+                f"size, as the container's header declares")
         _check_class_counts(self.labels, self.num_classes)
 
 
@@ -529,10 +534,10 @@ def gen_dataset(cfg):
 # ---------------------------------------------------------------------------
 # container i/o
 
-# Bytes staged per read or write of the per-sample records, so neither
-# direction ever holds a second copy of the whole file; small enough
-# not to show in peak memory.
-_IO_CHUNK_BYTES = 1 << 16
+# Records per block of every read and write of the container file, and
+# rows per block of every embedding: at hidden width 256 the backbone's
+# output bytes depend on how its rows are grouped.
+BLOCK_ROWS = 256
 
 
 def _record_dtype(side):
@@ -541,18 +546,13 @@ def _record_dtype(side):
                      ("pixels", "<f4", (side, side))])
 
 
-def _chunk_rows(side):
-    """The records of side ``side`` that fill ``_IO_CHUNK_BYTES``, at
-    least one."""
-    return max(1, _IO_CHUNK_BYTES // _record_dtype(side).itemsize)
-
-
-def _record_chunks(total, side, rows):
-    """Yield (start, records) over consecutive blocks of ``rows`` of the
-    ``total`` records, each block a view of one reused record buffer."""
-    buffer = np.empty(min(rows, total), dtype=_record_dtype(side))
-    for start in range(0, total, rows):
-        yield start, buffer[:min(rows, total - start)]
+def _record_chunks(total, side):
+    """Yield (start, records) over consecutive blocks of ``BLOCK_ROWS``
+    of the ``total`` records, each block a view of one reused record
+    buffer."""
+    buffer = np.empty(min(BLOCK_ROWS, total), dtype=_record_dtype(side))
+    for start in range(0, total, BLOCK_ROWS):
+        yield start, buffer[:min(BLOCK_ROWS, total - start)]
 
 
 def save_dataset(dataset, path):
@@ -564,8 +564,7 @@ def save_dataset(dataset, path):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", c_total, n, side))
-        for start, records in _record_chunks(dataset.num_samples, side,
-                                             _chunk_rows(side)):
+        for start, records in _record_chunks(dataset.num_samples, side):
             stop = start + len(records)
             records["label"] = dataset.labels[start:stop]
             records["level"] = dataset.degradation_level[start:stop]
@@ -642,40 +641,32 @@ class DatasetStream:
         self.labels = np.empty(total, dtype=np.uint32)
         self.degradation_level = np.empty(total, dtype=np.float32)
 
-    def blocks(self, rows, out=None):
-        """Yield the pixels of each block of ``rows`` records in file
-        order, a (k, side, side) float32 array: the block's rows of
-        ``out`` where it is given, else one reused buffer, which the next
-        block overwrites."""
-        fh = self._fh
-        if out is None:
-            buffer = np.empty((min(rows, self.num_samples), self.side,
-                               self.side), dtype=np.float32)
-        for start, records in _record_chunks(self.num_samples, self.side,
-                                             rows):
+    def blocks(self):
+        """Yield (start, pixels) for each block of ``BLOCK_ROWS`` records
+        in file order, ``pixels`` the (k, side, side) float32 field of
+        one reused record buffer, which the next block overwrites."""
+        for start, records in _record_chunks(self.num_samples, self.side):
             stop = start + len(records)
-            if fh.readinto(records.view(np.uint8)) != records.nbytes:
+            if self._fh.readinto(records.view(np.uint8)) != records.nbytes:
                 raise FormatError(
                     f"truncated dataset file while reading samples "
-                    f"{start}..{stop - 1}", offset=fh.tell())
-            pixels = buffer[:stop - start] if out is None else out[start:stop]
-            pixels[...] = records["pixels"]
-            _check_records(records["label"], records["level"], pixels,
-                           self.num_classes)
+                    f"{start}..{stop - 1}", offset=self._fh.tell())
+            _check_records(records["label"], records["level"],
+                           records["pixels"], self.num_classes)
             self.labels[start:stop] = records["label"]
             self.degradation_level[start:stop] = records["level"]
-            yield pixels
+            yield start, records["pixels"]
         _check_class_counts(self.labels, self.num_classes)
 
 
 def load_dataset(path):
     """Read a dataset container file whole, through ``DatasetStream`` and
-    its checks, ``_IO_CHUNK_BYTES`` of records at a time."""
+    its checks."""
     with DatasetStream(path) as stream:
         images = np.empty((stream.num_samples, stream.side, stream.side),
                           dtype=np.float32)
-        for _ in stream.blocks(_chunk_rows(stream.side), out=images):
-            pass
+        for start, pixels in stream.blocks():
+            images[start:start + len(pixels)] = pixels
     return IdentityDataset(images=images, labels=stream.labels,
                            degradation_level=stream.degradation_level,
                            class_flags=stream.class_flags)

@@ -417,7 +417,8 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
     prev_snapshot = _tracked_ccs(state, dataset, tracked_idx)
 
     block = max(1, _BLOCK_ROWS // b)
-    milestones = set(config.milestones())
+    saves = ({} if checkpoint_dir is None
+             else epoch_checkpoints(config, checkpoint_dir))
     for epoch in range(state.epoch, config.epochs):
         lr = config.lr_at(epoch)
         perm = rng_for(config.seed, T_PERM, epoch).permutation(n)
@@ -459,11 +460,18 @@ def run_training(config, dataset, state=None, checkpoint_dir=None):
             frac_zero_weight=float(np.mean(w == 0.0)),
             tracker_v=state.tracker.v.copy(),
         ))
-        if checkpoint_dir is not None and (epoch in milestones
-                                           or epoch == config.epochs - 1):
-            checkpoint_save(state,
-                            f"{checkpoint_dir}/ckpt_epoch{epoch:04d}.bin")
+        if epoch in saves:
+            checkpoint_save(state, saves[epoch])
     return state, list(state.epoch_logs)
+
+
+def epoch_checkpoints(config, checkpoint_dir):
+    """{epoch: path} of the checkpoints ``run_training`` writes into
+    ``checkpoint_dir``: at the milestone epochs and the last, in order."""
+    epochs = sorted({*config.milestones(), config.epochs - 1}
+                    & set(range(config.epochs)))
+    return {e: os.path.join(checkpoint_dir, f"ckpt_epoch{e:04d}.bin")
+            for e in epochs}
 
 
 def write_report_csv(epoch_logs, path):
@@ -517,6 +525,14 @@ def checkpoint_load(path):
         if has_bias != 0 or beta != 1.0:
             raise FormatError(f"checkpoint has head-bias flag {has_bias} and "
                               f"beta {beta}; only 0 and 1.0 are supported")
+        # the ranges a run holds them to; each comparison is false for NaN
+        if not (0.0 < scale < math.inf and 0.0 <= marg < math.pi / 2
+                and 0.0 <= a_start <= 1.0 and 0.0 <= a_end <= 1.0
+                and t_total >= 1):
+            raise FormatError(
+                f"checkpoint header holds a non-finite or out-of-range "
+                f"value: scale {scale}, margin {marg}, alpha {a_start} to "
+                f"{a_end}, total steps {t_total}")
         shapes = _param_shapes(input_dim, hidden_dim, embed_dim, num_classes)
         # Python ints: a product of u32 dimensions cannot wrap
         declared = fh.tell() + 4 * (
@@ -535,8 +551,7 @@ def checkpoint_load(path):
         for arr in arrays:
             fh.readinto(arr)
     # no run saves a NaN or an inf: _finite_or_abort stops training first
-    if not all(np.isfinite(a).all()
-               for a in ((scale, marg, a_start, a_end), *arrays)):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise FormatError("checkpoint holds a non-finite value")
     state.epoch, state.step_in_epoch, state.global_step = (
         epoch, step_in_epoch, global_step)

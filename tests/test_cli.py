@@ -442,6 +442,37 @@ class TestNonFiniteCheckpoint:
         assert not (workspace / "out").exists()
 
 
+class TestCheckpointHeaderRanges:
+    # offsets from the header's end: u32 total steps, then f64 scale,
+    # margin, beta, alpha start and alpha end
+    @pytest.mark.parametrize("command", ["score", "report"])
+    @pytest.mark.parametrize("back,value", [
+        (40, struct.pack("<d", -1.0)),
+        (32, struct.pack("<d", float("nan"))),
+        (32, struct.pack("<d", 2.0)),
+        (16, struct.pack("<d", 5.0)),
+        (44, struct.pack("<I", 0))],
+        ids=["scale -1", "margin nan", "margin 2", "alpha start 5",
+             "total steps 0"])
+    def test_exit_2_and_nothing_written(self, trained, capsys, command,
+                                        back, value):
+        workspace, ds_path, out_dir = trained
+        raw = bytearray((out_dir / "checkpoint.bin").read_bytes())
+        at = trainer._CKPT_HEADER.size - back
+        raw[at:at + len(value)] = value
+        bad = workspace / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="out-of-range"):
+            trainer.checkpoint_load(bad)
+        out = workspace / "out" / "o.csv"
+        argv = [command, "--checkpoint", bad, "--out", out]
+        if command == "score":
+            argv += ["--dataset", ds_path]
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+
 class TestSelfcheck:
     def test_passes_on_fresh_build(self, capsys):
         assert cli.main(["selfcheck"]) == 0
@@ -580,6 +611,23 @@ class TestManifest:
         assert sorted(workspace.iterdir()) == before
         with pytest.raises(FormatError):
             cli.load_manifest(workspace / "manifest.json")
+
+    def test_train_claims_only_its_own_checkpoints(self, workspace):
+        # a 10-epoch run writes epochs 6, 8 and 9; a 2-epoch run in the
+        # same directory then writes epoch 1 and replaces the record
+        ds_path = workspace / "ds.bin"
+        run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
+        out_dir = workspace / "run"
+        for epochs in (10, 2):
+            cfg = workspace / f"train{epochs}.cfg"
+            cfg.write_text(TRAIN_CFG.replace("epochs=2", f"epochs={epochs}"))
+            assert run(["train", "--config", cfg, "--dataset", ds_path,
+                        "--out", out_dir]) == 0
+        [record] = cli.load_manifest(out_dir / "manifest.json")["commands"]
+        assert sorted(Path(p).name for p in record["outputs"]) == [
+            "checkpoint.bin", "ckpt_epoch0001.bin", "class_weights.csv",
+            "report.csv"]
+        assert (out_dir / "ckpt_epoch0009.bin").exists()
 
     def test_inputs_not_mutated(self, workspace):
         ds_path = workspace / "ds.bin"
@@ -738,7 +786,7 @@ class TestStreamedEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float32 embeddings, then 4 MiB: two 256-record blocks (the
-        # records and their pixels, 0.6 MB each), one block's forward pass,
+        # the float32 embeddings, then 4 MiB: one 256-record block (0.6
+        # MB, its pixels a view of the records), one block's forward pass,
         # the labels, levels and scores, and the CSV blocks
         assert peak <= 3700 * 16 * 4 + (4 << 20)

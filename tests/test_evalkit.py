@@ -468,7 +468,7 @@ class TestOracleVariance:
 
         e = np.array([[0.5, 0.5, 0.5, 0.5], [-0.5, -0.5, -0.5, -0.5]])
 
-        def fake_embed(model, images, batch_size=256):
+        def fake_embed(model, images):
             return e
 
         import fiqlab.evalkit as ek

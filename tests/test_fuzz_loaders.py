@@ -6,6 +6,8 @@ wrong-sized allocation.  A dataset read as a stream of blocks must give
 the arrays a whole load gives.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ TRAIN_CFG = ("batch_size=2\nepochs=1\nembed_dim=4\nhidden_dim=4\n"
 def streamed_dataset(path):
     """A ``DatasetStream`` read to its end, three records a block; where
     it succeeds, a whole load succeeds too and gives the same arrays."""
-    with synthdata.DatasetStream(path) as stream:
-        images = np.concatenate([block.copy() for block in stream.blocks(3)])
+    with patch.object(synthdata, "BLOCK_ROWS", 3), \
+            synthdata.DatasetStream(path) as stream:
+        images = np.concatenate([block.copy()
+                                 for _, block in stream.blocks()])
     try:
         loaded = synthdata.load_dataset(path)
     except FiqError as exc:

@@ -756,8 +756,8 @@ class TestContainer:
             synthdata.load_dataset(path)
 
     def test_bytes_match_per_row_layout(self, tmp_path, monkeypatch):
-        # three records a chunk: several full chunks and a partial one
-        monkeypatch.setattr(synthdata, "_IO_CHUNK_BYTES", 3 * (8 + 4 * 16 * 16))
+        # three records a block: several full blocks and a partial one
+        monkeypatch.setattr(synthdata, "BLOCK_ROWS", 3)
         ds = synthdata.gen_dataset(small_cfg(degrade_fraction=0.4))
         path = tmp_path / "ds.bin"
         synthdata.save_dataset(ds, path)
@@ -773,6 +773,19 @@ class TestContainer:
         assert back.labels.tobytes() == ds.labels.tobytes()
         assert (back.degradation_level.tobytes()
                 == ds.degradation_level.tobytes())
+
+    def test_classes_of_unequal_size_refused_before_writing(self, tmp_path):
+        # 7 samples over 3 classes (2, 2, 3): the header's classes x
+        # samples cannot describe them
+        ds = synthdata.IdentityDataset(
+            images=np.full((7, 4, 4), 0.5, dtype=np.float32),
+            labels=np.array([0, 0, 1, 1, 2, 2, 2], dtype=np.uint32),
+            degradation_level=np.zeros(7, dtype=np.float32),
+            class_flags=np.zeros(3, dtype=np.uint8))
+        path = tmp_path / "ds.bin"
+        with pytest.raises(FormatError, match="not 3 classes of one size"):
+            synthdata.save_dataset(ds, path)
+        assert not path.exists()
 
     def test_header_declaring_more_than_the_file_rejected(self, tmp_path):
         # 2**20 classes x 2**10 samples of side 2**10: about 4 PiB declared
@@ -835,12 +848,16 @@ class TestDatasetStream:
         return ds, path
 
     @pytest.mark.parametrize("rows", [1, 5, 24, 100])
-    def test_blocks_are_the_records_in_order(self, tmp_path, rows):
+    def test_blocks_are_the_records_in_order(self, tmp_path, monkeypatch,
+                                             rows):
         ds, path = self.saved(tmp_path)
+        monkeypatch.setattr(synthdata, "BLOCK_ROWS", rows)
         with synthdata.DatasetStream(path) as stream:
             assert (stream.num_samples, stream.num_classes, stream.side) == (
                 24, 6, 16)
-            blocks = [block.copy() for block in stream.blocks(rows)]
+            starts, blocks = zip(*[(start, block.copy())
+                                   for start, block in stream.blocks()])
+        assert starts == tuple(range(0, 24, rows))
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert np.concatenate(blocks).tobytes() == ds.images.tobytes()
         assert stream.labels.tobytes() == ds.labels.tobytes()
@@ -856,18 +873,43 @@ class TestDatasetStream:
         with pytest.raises(FormatError, match="class flags must be 0"):
             synthdata.DatasetStream(path)
 
-    def test_class_count_checked_after_the_last_block(self, tmp_path):
+    def test_class_count_checked_after_the_last_block(self, tmp_path,
+                                                       monkeypatch):
         # samples 20..22 relabelled from class 5 to class 4: class 5 then
         # appears once, in the last block, which passes its own checks
         _, path = self.saved(tmp_path)
+        monkeypatch.setattr(synthdata, "BLOCK_ROWS", 8)
         raw = bytearray(path.read_bytes())
         for i in (20, 21, 22):
             at = 19 + i * (8 + 4 * 16 * 16)
             raw[at:at + 4] = struct.pack("<I", 4)
         path.write_bytes(bytes(raw))
         with synthdata.DatasetStream(path) as stream:
-            blocks = stream.blocks(8)
+            blocks = stream.blocks()
             for _ in range(3):
                 next(blocks)
             with pytest.raises(FormatError, match="at least twice"):
                 next(blocks)
+
+    def test_load_checks_one_block_at_a_time(self, tmp_path, monkeypatch):
+        # 600 records of side 4, 72 bytes each (43 KB in all): blocks
+        # counted in records, not bytes, check them three times
+        ds = synthdata.IdentityDataset(
+            images=np.full((600, 4, 4), 0.5, dtype=np.float32),
+            labels=np.repeat(np.arange(6, dtype=np.uint32), 100),
+            degradation_level=np.zeros(600, dtype=np.float32),
+            class_flags=np.zeros(6, dtype=np.uint8))
+        path = tmp_path / "ds.bin"
+        synthdata.save_dataset(ds, path)
+        checked = []
+        real = synthdata._check_records
+
+        def counted(labels, *args):
+            checked.append(len(labels))
+            return real(labels, *args)
+
+        monkeypatch.setattr(synthdata, "_check_records", counted)
+        back = synthdata.load_dataset(path)
+        assert len(checked) == -(-600 // synthdata.BLOCK_ROWS)
+        assert sum(checked) == 600
+        assert back.images.tobytes() == ds.images.tobytes()
