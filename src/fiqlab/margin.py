@@ -39,10 +39,6 @@ class PrototypeBank:
             raise DomainError("margin must lie in [0, pi/2)")
 
     @property
-    def embed_dim(self):
-        return self.weights.shape[0]
-
-    @property
     def num_classes(self):
         return self.weights.shape[1]
 

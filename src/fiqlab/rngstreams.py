@@ -183,18 +183,6 @@ def first_random(seed, tag, counter, indices):
     return _doubles(stream_words(seed, tag, counter, indices, 1)[..., 0])
 
 
-def generator_words(rng):
-    """A ``StreamDraws`` source of one stream: the raw words that follow
-    the state ``rng`` is in now, which it leaves as it is."""
-    state = rng.bit_generator.state
-
-    def words(k):
-        bitgen = type(rng.bit_generator)()
-        bitgen.state = state
-        return bitgen.random_raw((1, k))
-    return words
-
-
 class StreamDraws:
     """numpy ``Generator`` draws of many streams at once, decoded from
     their raw words with a word cursor per stream.

@@ -37,7 +37,6 @@ from .rngstreams import (
     T_TEMPLATE,
     StreamDraws,
     first_random,
-    generator_words,
     rng_for,
     rngs_for,
     stream_words,
@@ -247,8 +246,6 @@ def rescale_blur(img, factor):
         raise DomainError(f"rescale factor must lie in (0, 1], got {factor}")
     side = img.shape[-1]
     small = max(1, int(round(side * factor)))
-    if small == side:
-        return img.copy()
     down = _area_downscale_matrix(side, small)
     up = _bilinear_upscale_matrix(small, side)
     out = up @ (down @ img @ down.T) @ up.T
@@ -266,9 +263,11 @@ def jitter_affine(img, gain, shift):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def hflip(img, rng):
-    """Mirror left-right with probability 0.5, else return a copy."""
-    return (img[:, ::-1] if rng.random() < 0.5 else img).copy()
+def hflip(imgs, flips):
+    """Mirror left-right, in place, the images of a stack where the mask
+    ``flips`` (its leading axes) is True, and return the stack."""
+    imgs[flips] = imgs[flips][..., ::-1]
+    return imgs
 
 
 def _erase_rects(draws, rows, side, lo_frac, hi_frac):
@@ -302,7 +301,7 @@ def _erase_rects(draws, rows, side, lo_frac, hi_frac):
 
 
 def _augment_draws(draws, n, side, p):
-    """What ``augment_stack`` draws for ``n`` images from the streams
+    """What ``augment`` draws for ``n`` images from the streams
     0..n-1 of ``draws``, each image's draws in stream order: a coin and
     factor for blur, a coin and rectangle for erase, a coin, gain and
     shift for jitter; returned as ``_operate`` takes them."""
@@ -352,7 +351,7 @@ def _operate(imgs, factor, erase, rects, jitter, gain, shift):
     return imgs
 
 
-def augment_stack(imgs, words, p=0.3):
+def augment(imgs, words, p=0.3):
     """Augment an (n, side, side) stack in place and return it: apply each
     quality-degrading operator to each image independently with
     probability ``p``, in the fixed order blur -> erase -> jitter.
@@ -367,17 +366,6 @@ def augment_stack(imgs, words, p=0.3):
         raise DomainError(f"augmentation probability must lie in [0, 1], got {p}")
     draws = StreamDraws(words, _AUGMENT_WORDS)
     return _operate(imgs, *_augment_draws(draws, len(imgs), imgs.shape[-1], p))
-
-
-def augment(img, rng, p=0.3):
-    """The one-image case of ``augment_stack``, drawing from ``rng`` as it
-    stands, with no half word buffered (a fresh generator has none), and
-    leaving it so.
-
-    With an image-and-epoch-specific ``rng`` this makes augmentation a
-    pure function of the stream, so epochs redraw independently.
-    """
-    return augment_stack(img[None].copy(), generator_words(rng), p)[0]
 
 
 # ---------------------------------------------------------------------------

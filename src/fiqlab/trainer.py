@@ -45,7 +45,7 @@ from .rngstreams import (
     rng_for,
     stream_words,
 )
-from .synthdata import augment_stack
+from .synthdata import augment, hflip
 from . import evalkit
 
 CKPT_MAGIC = b"IGFQCKPT"
@@ -94,6 +94,8 @@ class TrainConfig:
             raise ConfigError("lr must be finite and > 0")
         if not 0.0 < self.scale < math.inf:
             raise ConfigError("scale must be finite and > 0")
+        if not 0.0 <= self.margin < math.pi / 2:
+            raise ConfigError("margin must lie in [0, pi/2)")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.hidden_dim < 1 or self.embed_dim < 1:
@@ -341,7 +343,7 @@ def train_step(state, config, imgs, labels, lr):
 def epoch_flips(seed, epoch, n):
     """Flip coin of every sample in an epoch: sample ``i`` is mirrored
     when the first draw of ``rng_for(seed, T_FLIP, epoch, i)`` is below
-    0.5, as ``synthdata.hflip`` decides for one image."""
+    0.5; ``synthdata.hflip`` mirrors the samples it marks."""
     return first_random(seed, T_FLIP, epoch, np.arange(n)) < 0.5
 
 
@@ -349,13 +351,11 @@ def _build_half(dataset, idx, config, epoch, flips):
     """Whole batches of images and labels for the (steps, batch) index
     block ``idx``: every image mirrored where the epoch's ``flips`` mask
     says so, then the augmented columns of ``_columns`` augmented."""
-    imgs = dataset.images[idx]
-    f = flips[idx]
-    imgs[f] = imgs[f][:, :, ::-1]
+    imgs = hflip(dataset.images[idx], flips[idx])
     if config.augment_p > 0.0:
         aug = _columns(config, idx.shape[1])[1]
         part = imgs[:, aug]
-        imgs[:, aug] = augment_stack(
+        imgs[:, aug] = augment(
             part.reshape(-1, *part.shape[2:]),
             functools.partial(stream_words, config.seed, T_AUG, epoch,
                               idx[:, aug].ravel()),
@@ -528,11 +528,13 @@ def checkpoint_load(path):
         # the ranges a run holds them to; each comparison is false for NaN
         if not (0.0 < scale < math.inf and 0.0 <= marg < math.pi / 2
                 and 0.0 <= a_start <= 1.0 and 0.0 <= a_end <= 1.0
-                and t_total >= 1):
+                and t_total >= 1 and num_classes >= 2
+                and min(input_dim, hidden_dim, embed_dim) >= 1):
             raise FormatError(
                 f"checkpoint header holds a non-finite or out-of-range "
-                f"value: scale {scale}, margin {marg}, alpha {a_start} to "
-                f"{a_end}, total steps {t_total}")
+                f"value: widths {input_dim}, {hidden_dim} and {embed_dim}, "
+                f"{num_classes} classes, scale {scale}, margin {marg}, "
+                f"alpha {a_start} to {a_end}, total steps {t_total}")
         shapes = _param_shapes(input_dim, hidden_dim, embed_dim, num_classes)
         # Python ints: a product of u32 dimensions cannot wrap
         declared = fh.tell() + 4 * (

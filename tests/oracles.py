@@ -54,3 +54,27 @@ def degrade(img, level, rng):
     gain = 1.0 - synthdata._DEG_GAIN_MAX * level
     shift = rng.uniform(-synthdata.JITTER_SHIFT, synthdata.JITTER_SHIFT) * level
     return synthdata.jitter_affine(out, gain, shift)
+
+
+def generator_words(rng):
+    """A ``StreamDraws`` source of one stream: the raw words that follow
+    the state ``rng`` is in now, which it leaves as it is."""
+    state = rng.bit_generator.state
+
+    def words(k):
+        bitgen = type(rng.bit_generator)()
+        bitgen.state = state
+        return bitgen.random_raw((1, k))
+    return words
+
+
+def hflip(img, rng):
+    """Mirror one image left-right with probability 0.5, else copy it."""
+    return (img[:, ::-1] if rng.random() < 0.5 else img).copy()
+
+
+def augment(img, rng, p=0.3):
+    """``synthdata.augment`` of one image, drawing from ``rng`` as it
+    stands, with no half word buffered (a fresh generator has none), and
+    leaving it so."""
+    return synthdata.augment(img[None].copy(), generator_words(rng), p)[0]

@@ -110,9 +110,8 @@ class TestGradCheck:
             diff = emb - target
             return 0.5 * float(np.sum(diff * diff)), diff
 
-        report = bb.grad_check(model, loss_fn, batch, tol=1e-6)
-        assert report.passed, report.worst
-        assert report.max_rel_err < 1e-6
+        report = bb.grad_check(model, loss_fn, batch)
+        assert report.max_rel_err < 1e-6, report.worst
 
     def test_report_fields(self, model, batch):
         def loss_fn(emb):
@@ -120,7 +119,6 @@ class TestGradCheck:
 
         report = bb.grad_check(model, loss_fn, batch, n_samples=10)
         assert report.n_checked == 10
-        assert report.tol == 1e-4
         assert len(report.worst) == 4
 
     def test_detects_injected_sign_error(self, model, batch):
@@ -128,4 +126,4 @@ class TestGradCheck:
             return float(emb.sum()), -np.ones_like(emb)  # wrong sign
 
         report = bb.grad_check(model, bad_loss, batch)
-        assert not report.passed
+        assert report.max_rel_err >= 1e-4

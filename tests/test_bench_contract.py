@@ -9,6 +9,10 @@ tests instead of a benchmark run.
 import hashlib
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,8 @@ import pytest
 
 from fiqlab import cli, synthdata, trainer
 
-CHAINBENCH = Path(__file__).resolve().parents[1] / "chainbench"
+ROOT = Path(__file__).resolve().parents[1]
+CHAINBENCH = ROOT / "chainbench"
 
 
 def load(name):
@@ -32,6 +37,52 @@ def load(name):
 def test_traced_function_exists(module, function):
     fn = getattr(importlib.import_module(f"fiqlab.{module}"), function, None)
     assert callable(fn), f"fiqlab.{module}.{function}"
+
+
+# Trains one epoch of each variant under the benchmark's tracer and prints,
+# per variant, the traced metrics plus the number of batch-build blocks.
+TRACED_TRAINING = """
+import importlib.util, json, sys
+from fiqlab import cli, synthdata, trainer  # every traced module loaded
+spec = importlib.util.spec_from_file_location("chainbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+# 1,200 samples: two batch-build blocks an epoch
+ds = synthdata.gen_dataset(synthdata.SynthConfig(
+    num_classes=40, samples_per_class=30, side=12, seed=21))
+variants = ("ig", "cr")
+tracer.active = True
+for tracer.round, variant in enumerate(variants):
+    trainer.run_training(trainer.apply_variant(trainer.TrainConfig(
+        batch_size=8, epochs=1, embed_dim=16, hidden_dim=24, scale=8.0,
+        margin=0.3), variant), ds)
+tracer.active = False
+a = tracer.arrays()
+build = [stem for _, _, stem, _, _ in spans.SPANS].index("trainer.batch_build")
+print(json.dumps({variant: dict(
+    values, blocks=int((a["name"][a["round"] == r] == build).sum()))
+    for (r, values), variant in zip(sorted(tracer.per_round().items()),
+                                    variants)}))
+"""
+
+
+def test_traced_names_do_the_training_work():
+    # in a subprocess: the tracer rebinds module attributes process-wide
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_TRAINING, str(CHAINBENCH / "spans.py")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["ig"]["blocks"] == 2
+    assert got["ig"]["synthdata.augment_calls"] == got["ig"]["blocks"]
+    assert got["cr"]["synthdata.augment_calls"] == 0
+    for variant in ("ig", "cr"):
+        assert got[variant]["synthdata.hflip_s"] > 0.0, variant
+    assert got["ig"]["synthdata.augment_s"] > 0.0
 
 
 def test_checkpoint_parses_as_the_benchmark_reads_it(tmp_path):

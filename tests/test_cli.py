@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiqlab import cli, margin, rngstreams, synthdata, trainer
+from fiqlab import cli, margin, rngstreams, synthdata, trainer, variance
 from fiqlab.configio import build_config
 from fiqlab.errors import FormatError
 
@@ -154,7 +154,8 @@ class TestTrain:
     @pytest.mark.parametrize("line", [
         "hidden_dim=-1", "hidden_dim=0", "embed_dim=0", "lr=nan", "lam=nan",
         "lam=-1", "scale=nan", "alpha_start=2", "seed=-1", "seed=4294967296",
-        "seed=18446744073709551615"])
+        "seed=18446744073709551615", "margin=2.0", "margin=nan",
+        "margin=-0.1"])
     def test_out_of_range_value_usage_error(self, workspace, capsys, line):
         ds_path = workspace / "ds.bin"
         run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
@@ -464,6 +465,34 @@ class TestCheckpointHeaderRanges:
         bad.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="out-of-range"):
             trainer.checkpoint_load(bad)
+        out = workspace / "out" / "o.csv"
+        argv = [command, "--checkpoint", bad, "--out", out]
+        if command == "score":
+            argv += ["--dataset", ds_path]
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    # input, hidden and embedding width and class count; the dataset's
+    # side is 12, so an input width of 144
+    @pytest.mark.parametrize("command", ["score", "report"])
+    @pytest.mark.parametrize("dims", [
+        (0, 24, 16, 6), (144, 0, 16, 6), (144, 24, 0, 6), (144, 24, 16, 0),
+        (144, 24, 16, 1)],
+        ids=["input 0", "hidden 0", "embed 0", "classes 0", "classes 1"])
+    def test_widths_and_classes_no_run_writes(self, workspace, capsys,
+                                              command, dims):
+        # a file whose size matches its header, as checkpoint_save writes
+        tracker = variance.VarianceTracker(
+            v=np.ones(dims[3], dtype=np.float32))
+        state = trainer._train_state(trainer._param_shapes(*dims), tracker,
+                                     8.0, 0.3)
+        bad = workspace / "bad.ckpt"
+        trainer.checkpoint_save(state, bad)
+        with pytest.raises(FormatError, match="out-of-range"):
+            trainer.checkpoint_load(bad)
+        ds_path = workspace / "ds.bin"
+        run(["synth", "--config", workspace / "synth.cfg", "--out", ds_path])
         out = workspace / "out" / "o.csv"
         argv = [command, "--checkpoint", bad, "--out", out]
         if command == "score":

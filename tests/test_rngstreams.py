@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from fiqlab.rngstreams import (
     StreamDraws,
     first_random,
-    generator_words,
     rng_for,
     rngs_for,
     stream_words,
 )
+
+import oracles
 
 # negative values and values of 2**32 or more included: both are reduced
 # modulo 2**32
@@ -202,6 +203,6 @@ class TestStreamDraws:
         rng = rng_for(9, 9)
         rng.random()
         state = rng.bit_generator.state
-        words = generator_words(rng)(4)
+        words = oracles.generator_words(rng)(4)
         assert rng.bit_generator.state == state
         assert words.tolist() == [rng.bit_generator.random_raw(4).tolist()]

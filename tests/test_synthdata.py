@@ -17,7 +17,6 @@ from fiqlab.rngstreams import (
     T_SAMPLE,
     T_TEMPLATE,
     StreamDraws,
-    generator_words,
     rng_for,
     stream_words,
 )
@@ -249,7 +248,7 @@ class TestDegrade:
         # a duplicate class's one shared draw, repeated for every image
         imgs = rng_for(7, side).uniform(0.0, 1.0, (5, side, side))
         imgs = imgs.astype(dtype)
-        draws = StreamDraws(generator_words(rng_for(7, 99)), 4)
+        draws = StreamDraws(oracles.generator_words(rng_for(7, 99)), 4)
         factor, rects, gain, shift = (
             np.repeat(x, 5, axis=-1) for x in synthdata._degrade_draws(
                 draws, np.arange(1), np.array([level]), side))
@@ -403,7 +402,7 @@ ONE = np.zeros(1, dtype=np.intp)
 def decoded_erase(img, rng, lo_frac, hi_frac):
     """One image's erase, its rectangle decoded from the words of
     ``rng``'s stream; also the draws, their cursor just past it."""
-    draws = StreamDraws(generator_words(rng), 4)
+    draws = StreamDraws(oracles.generator_words(rng), 4)
     rects = synthdata._erase_rects(draws, ONE, img.shape[-1], lo_frac,
                                    hi_frac)
     out = synthdata._operate(img[None].copy(), np.ones(1), ONE, rects,
@@ -597,7 +596,7 @@ class TestDecodedDraws:
         span = side - h + 1
         assert span & (span - 1) != 0
         assert top == span - 1
-        draws = StreamDraws(generator_words(rng), 9)
+        draws = StreamDraws(oracles.generator_words(rng), 9)
         got = synthdata._augment_draws(draws, 1, side, 1.0)
         check_decoded_augment(got, 0, want)
         # the image too, with the next stream word at the jitter coin
@@ -605,7 +604,7 @@ class TestDecodedDraws:
         want_img = synthdata.rescale_blur(img, want[0])
         want_img[top:top + h, want[1][1]:want[1][1] + want[1][3]] = 0.0
         want_img = synthdata.jitter_affine(want_img, *want[2])
-        assert synthdata.augment(img, rng, 1.0).tobytes() == want_img.tobytes()
+        assert oracles.augment(img, rng, 1.0).tobytes() == want_img.tobytes()
 
 
 class TestColorJitter:
@@ -648,15 +647,8 @@ class TestColorJitter:
         np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
 
-class Heads:
-    """A generator whose every coin says flip."""
-
-    def random(self):
-        return 0.0
-
-
 def forced_flip(img):
-    return synthdata.hflip(img, Heads())
+    return synthdata.hflip(img[None].copy(), np.ones(1, dtype=bool))[0]
 
 
 class TestHflip:
@@ -677,9 +669,18 @@ class TestHflip:
         assert out[3, side - 1 - 2] == 1.0
         assert out.sum() == 1.0
 
+    def test_stack_mirrors_the_marked_images_in_place(self):
+        imgs = rng_for(0, 12).uniform(0, 1, (2, 3, 5, 5))
+        flips = np.array([[True, False, False], [False, True, True]])
+        before = imgs.copy()
+        out = synthdata.hflip(imgs, flips)
+        assert out is imgs
+        assert np.array_equal(imgs[flips], before[flips][..., ::-1])
+        assert np.array_equal(imgs[~flips], before[~flips])
+
     def test_probability_half(self):
         img = np.zeros((4, 4)); img[0, 0] = 1.0
-        flips = sum(synthdata.hflip(img, rng_for(3, 12, d))[0, -1] == 1.0
+        flips = sum(oracles.hflip(img, rng_for(3, 12, d))[0, -1] == 1.0
                     for d in range(2000))
         assert 0.45 < flips / 2000 < 0.55
 
@@ -687,20 +688,20 @@ class TestHflip:
 class TestAugment:
     def test_zero_probability_is_identity(self):
         img = rng_for(0, 13).uniform(0, 1, (24, 24))
-        out = synthdata.augment(img, rng_for(0, 14), p=0.0)
+        out = oracles.augment(img, rng_for(0, 14), p=0.0)
         assert np.array_equal(out, img)
         assert out is not img
 
     def test_certainty_applies_all_three(self):
         img = rng_for(0, 15).uniform(0.3, 0.9, (24, 24))
-        out = synthdata.augment(img, rng_for(0, 16), p=1.0)
+        out = oracles.augment(img, rng_for(0, 16), p=1.0)
         assert (out == 0.0).any()          # erase fired
         assert not np.array_equal(out, img)
 
     def test_no_augmentation_probability_matches_p_cubed(self):
         img = rng_for(0, 17).uniform(0.3, 0.9, (24, 24))
         unchanged = sum(
-            np.array_equal(synthdata.augment(img, rng_for(4, 18, d), p=0.3), img)
+            np.array_equal(oracles.augment(img, rng_for(4, 18, d), p=0.3), img)
             for d in range(4000))
         rate = unchanged / 4000
         assert abs(rate - 0.343) < 0.025
@@ -710,7 +711,7 @@ class TestAugment:
     @settings(max_examples=40, deadline=None)
     def test_output_always_valid_image(self, draw, p):
         img = rng_for(5, 19).uniform(0, 1, (16, 16))
-        out = synthdata.augment(img, rng_for(5, 20, draw), p=p)
+        out = oracles.augment(img, rng_for(5, 20, draw), p=p)
         assert out.shape == img.shape
         assert out.min() >= 0.0 and out.max() <= 1.0
 

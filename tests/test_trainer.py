@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import functools
+import math
 import struct
 from hashlib import sha256
 from pathlib import Path
@@ -59,6 +60,10 @@ class TestConfig:
         {"seed": -1},
         {"seed": 2 ** 32},
         {"seed": 2 ** 64 - 1},
+        {"margin": 2.0},
+        {"margin": float("nan")},
+        {"margin": -0.1},
+        {"margin": math.pi / 2},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -662,8 +667,8 @@ def build_half_loop(dataset, indices, config, epoch, degraded, flips=None):
                     dtype=dataset.images.dtype)
     for row, i in enumerate(indices):
         i = int(i)
-        img = synthdata.hflip(dataset.images[i],
-                              rng_for(config.seed, T_FLIP, epoch, i))
+        img = oracles.hflip(dataset.images[i],
+                            rng_for(config.seed, T_FLIP, epoch, i))
         if degraded and config.augment_p > 0.0:
             img = augment_loop(img, rng_for(config.seed, T_AUG, epoch, i),
                                config.augment_p)
@@ -726,12 +731,12 @@ class TestAugmentStack:
         imgs = imgs.astype(dtype)
         want = np.stack([augment_loop(imgs[k], rng_for(seed, T_AUG, 3, k), p)
                          for k in range(n)])
-        got = synthdata.augment_stack(
+        got = synthdata.augment(
             imgs.copy(), functools.partial(stream_words, seed, T_AUG, 3,
                                            np.arange(n)), p)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-        one = synthdata.augment(imgs[0], rng_for(seed, T_AUG, 3, 0), p)
+        one = oracles.augment(imgs[0], rng_for(seed, T_AUG, 3, 0), p)
         assert one.tobytes() == want[0].tobytes()
 
     def test_pinned_example_erases_full_width(self):
