@@ -14,9 +14,9 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import backbone as bb
 from . import evalkit, margin, quality, synthdata, trainer, variance
-from .configio import build_config, text_lines, write_csv
+from .configio import build_config, read_text, write_csv
 from .errors import (
     ConfigError,
     DomainError,
@@ -188,33 +188,83 @@ def cmd_score(args, argv):
     return EXIT_OK
 
 
-def _read_scores_csv(path, expected):
-    scores = np.full(expected, np.nan)
-    seen = bytearray(expected)
-    header, *rows = text_lines(path, FormatError) or [""]
+def _score_rows(lines):
+    """The (id, score) rows ``np.loadtxt`` reads from ``lines``, a text
+    file or a list of lines, empty lines skipped; None if a line is not
+    a row, or the file is not UTF-8."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows at all
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("id", "<i8"), ("score", "<f8")])
+        except ValueError:
+            return None
+
+
+def _body_lines(path):
+    """The lines after the header of a ``sample_id,score`` file, with
+    whitespace-only lines emptied; FormatError for a file that is not
+    UTF-8 or has another header."""
+    header, _, body = read_text(path, FormatError).partition("\n")
     if header.strip() != "sample_id,score":
         raise FormatError(f"{path}: expected header 'sample_id,score'")
-    for lineno, line in enumerate(rows, start=2):
-        line = line.strip()
-        if not line:
-            continue
+    return ["" if line.isspace() else line for line in body.split("\n")]
+
+
+def _read_scores_csv(path, expected):
+    """The ``expected`` scores of a ``sample_id,score`` file, indexed by
+    sample id; blank and whitespace-only lines are skipped.  The body is
+    parsed in one ``np.loadtxt`` pass from the open file and checked on
+    arrays.  Only a file that fails, or has whitespace-only lines, is
+    read again whole, to name its first bad line (``path:line:``)."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            sid, value = line.split(",")
-            sid, value = int(sid), float(value)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad row {line!r}") from exc
-        if not 0 <= sid < expected:
-            raise FormatError(f"{path}:{lineno}: sample id {sid} outside "
+            header_ok = fh.readline().strip() == "sample_id,score"
+        except UnicodeDecodeError:
+            header_ok = False
+        rows = _score_rows(fh) if header_ok else None
+    lines = bad = None  # bad: index in lines of the first that is no row
+    if rows is None:
+        lines = _body_lines(path)
+        rows = _score_rows(lines)
+        if rows is None:
+            # each line loads or not on its own: bisect for the shortest
+            # prefix that does not load
+            lo, hi = 0, len(lines)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _score_rows(lines[:mid]) is None:
+                    hi = mid
+                else:
+                    lo = mid
+            bad = hi - 1
+            rows = _score_rows(lines[:bad])
+    ids, values = rows["id"], rows["score"]
+    inside = (ids >= 0) & (ids < expected)
+    fault = ~inside | ~np.isfinite(values)
+    counts = np.bincount(ids[inside], minlength=expected)
+    if np.any(counts > 1):  # a repeat is an id's second row or later
+        fault |= ~evalkit.first_places(ids)
+    if fault.any():
+        k = int(np.argmax(fault))
+        lines = lines or _body_lines(path)
+        row_lines = [i for i, line in enumerate(lines[:bad]) if line]
+        where, sid = f"{path}:{row_lines[k] + 2}", int(ids[k])
+        if not inside[k]:
+            raise FormatError(f"{where}: sample id {sid} outside "
                               f"[0, {expected})")
-        if not math.isfinite(value):
-            raise FormatError(f"{path}:{lineno}: non-finite score "
-                              f"{value} for sample {sid}")
-        if seen[sid]:
-            raise FormatError(f"{path}:{lineno}: repeated sample id {sid}")
-        seen[sid] = 1
-        scores[sid] = value
-    if np.any(np.isnan(scores)):
-        raise FormatError(f"{path}: missing scores for some samples")
+        if not np.isfinite(values[k]):
+            raise FormatError(f"{where}: non-finite score {values[k]} for "
+                              f"sample {sid}")
+        raise FormatError(f"{where}: repeated sample id {sid}")
+    if bad is not None:
+        raise FormatError(f"{path}:{bad + 2}: bad row {lines[bad].strip()!r}")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise FormatError(f"{path}: no score for sample {missing[0]}; "
+                          f"{missing.size} of {expected} samples have none")
+    scores = np.empty(expected)
+    scores[ids] = values
     return scores
 
 
@@ -222,6 +272,10 @@ def cmd_erc(args, argv):
     started = time.time()
     if not 0.0 < args.fmr < 1.0:
         raise ConfigError(f"--fmr must lie in (0, 1), got {args.fmr}")
+    if not evalkit.MIN_GRID_STEP <= args.grid_step < 1.0:
+        raise ConfigError(f"--grid-step must lie in "
+                          f"[{evalkit.MIN_GRID_STEP:g}, 1), got "
+                          f"{args.grid_step}")
     if not 0 <= (args.seed or 0) < 2 ** 32:
         raise ConfigError(f"--seed must lie in [0, 2**32), got {args.seed}")
     method = args.method or Path(args.scores).stem

@@ -16,12 +16,12 @@ from .errors import ConfigError
 _CSV_BLOCK_ROWS = 4096
 
 
-def text_lines(path, error):
-    """The lines of a UTF-8 text file; bytes that are not UTF-8 raise
-    ``error``, a FiqError class, naming the file."""
+def read_text(path, error):
+    """The text of a UTF-8 file, its line ends read as ``\n``; bytes that
+    are not UTF-8 raise ``error``, a FiqError class, naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.readlines()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -44,7 +44,8 @@ def write_csv(path, header, fmt, values):
 
 def read_kv_file(path):
     entries = []
-    for lineno, raw in enumerate(text_lines(path, ConfigError), start=1):
+    lines = read_text(path, ConfigError).split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -30,6 +30,15 @@ from .rngstreams import T_PAIRS, rng_for
 # Pairs whose two gathered embedding rows pair_similarities holds at once.
 _PAIR_BLOCK = 4096
 
+# Embedding rows oracle_variance reduces in float64 at once: on the
+# 20,000-row wide-cr set 512 was the fastest block tried (256 to 4,096),
+# and a larger one would raise the peak memory of train.
+_CLASS_BLOCK_ROWS = 512
+
+# The finest ERC grid step: at most 100,001 grid points (95,001 on the
+# default [0, 0.95]), a few MiB whatever the pair count.
+MIN_GRID_STEP = 1e-5
+
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
@@ -93,22 +102,31 @@ def gen_pairs(dataset, max_per_class=None, nonmated_count=0, seed=0):
     # integers(0, n, 2), so the first new keys in row order are the pairs
     # a draw-at-a-time loop keeps.  A block holds the draws expected to
     # yield the pairs still needed, within a memory cap.
-    picked = {}  # key lo * n + hi -> None, in draw order
-    while len(picked) < nonmated_count:
-        need = nonmated_count - len(picked)
-        expected = -(-need * n * n // (2 * (cross - len(picked))))
+    keys = np.empty(0, dtype=np.int64)  # lo * n + hi, in draw order
+    while keys.size < nonmated_count:
+        need = nonmated_count - keys.size
+        expected = -(-need * n * n // (2 * (cross - keys.size)))
         a, b = rng.integers(0, n, (max(need, min(expected, 1 << 16)), 2)).T
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
-        for key in keys[labels[a] != labels[b]].tolist():  # implies a != b
-            picked[key] = None  # a repeated key keeps its first place
-            if len(picked) == nonmated_count:
-                break
-    keys = np.fromiter(picked, np.int64, len(picked))
+        apart = labels[a] != labels[b]  # implies a != b
+        drawn = (np.minimum(a, b) * n + np.maximum(a, b))[apart]
+        # each key's first place in the block, if not kept already
+        drawn = drawn[first_places(drawn) & ~np.isin(drawn, keys)]
+        keys = np.concatenate([keys, drawn[:need]])
     index_a, index_b = np.concatenate(parts + [np.divmod(keys, max(n, 1))],
                                       axis=1)
     mated = sum(part.shape[1] for part in parts)
     return PairSet(index_a=index_a, index_b=index_b,
                    genuine=np.arange(index_a.size) < mated)
+
+
+def first_places(values):
+    """True where an element of the 1-D ``values`` holds the first place
+    of its value.  A stable sort keeps equal values in place order, and
+    avoids ``np.unique``, which imports ``numpy.ma`` (about 1 MiB)."""
+    by_value = np.argsort(values, kind="stable")
+    first = np.ones(values.shape[0], dtype=bool)
+    first[by_value[1:]] = values[by_value[1:]] != values[by_value[:-1]]
+    return first
 
 
 def embed_dataset(model, images):
@@ -204,13 +222,17 @@ def erc(pairs, sims, quality_scores, fmr_target, grid_step=0.01,
     by sample indices) are dropped from the full pair set and the FNMR
     of the surviving mated pairs is recomputed at the fixed threshold.
     The curve is truncated at the first r where no mated pair survives.
+    A ``grid_step`` below ``MIN_GRID_STEP`` raises DomainError.
     """
     sims = np.asarray(sims, dtype=np.float64)
     scores = np.asarray(quality_scores, dtype=np.float64)
     if sims.shape[0] != len(pairs):
         raise StructuralError("one similarity per pair required")
-    if not 0.0 < grid_step < 1.0:
-        raise DomainError("grid_step must lie in (0, 1)")
+    if not MIN_GRID_STEP <= grid_step < 1.0:
+        raise DomainError(f"grid_step must lie in [{MIN_GRID_STEP:g}, 1), "
+                          f"got {grid_step}")
+    if not 0.0 <= max_reject <= 1.0:
+        raise DomainError(f"max_reject must lie in [0, 1], got {max_reject}")
 
     if not pairs.genuine.any():
         raise DomainError("pair set contains no mated pairs")
@@ -219,8 +241,22 @@ def erc(pairs, sims, quality_scores, fmr_target, grid_step=0.01,
                           "calibrate the threshold")
     threshold = fmr_threshold(sims[~pairs.genuine], fmr_target)
 
-    pair_quality = np.minimum(scores[pairs.index_a], scores[pairs.index_b])
-    order = np.lexsort((pairs.index_b, pairs.index_a, pair_quality))
+    n = scores.shape[0]
+    if min(pairs.index_a.min(), pairs.index_b.min()) < 0 or max(
+            pairs.index_a.max(), pairs.index_b.max()) >= n:
+        raise StructuralError(f"pair indices must lie in [0, {n}), one "
+                              f"quality score per sample")
+    # index_b < n, so index_a * n + index_b orders by index_a, then
+    # index_b: the three-key sort's permutation, ties kept in place.  It
+    # is built in the gather of index_b's scores, which the minimum has
+    # read: a key array of its own raised wide-cr's peak RSS by 1.5 MiB.
+    pair_quality = scores[pairs.index_a]
+    key = scores[pairs.index_b]
+    np.minimum(pair_quality, key, out=pair_quality)
+    key = key.view(np.int64)
+    np.multiply(pairs.index_a, n, out=key)
+    key += pairs.index_b
+    order = np.lexsort((key, pair_quality))
 
     # Suffix counts of mated and of failed mated pairs along ``order``, read
     # at each drop count; count / count is np.mean's value, bit for bit.
@@ -302,13 +338,24 @@ def oracle_variance(dataset, model):
     labels = np.asarray(dataset.labels, dtype=np.int64)
     # a stable sort keeps each class's rows in dataset order
     order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order],
-                             np.arange(dataset.num_classes + 1))
-    out = np.zeros(dataset.num_classes, dtype=np.float64)
-    for c in range(dataset.num_classes):
-        rows = emb[order[bounds[c]:bounds[c + 1]]].astype(np.float64)
-        mu = rows.mean(axis=0)
-        out[c] = float(np.mean(np.sum((rows - mu) ** 2, axis=1)))
+    sizes = np.bincount(labels, minlength=dataset.num_classes)[
+        :dataset.num_classes]
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(invalid="ignore"):
+        none = np.divide(0.0, 0.0)  # the NaN of a mean over no rows
+    out = np.full(dataset.num_classes, none)
+    for k in sorted(set(sizes.tolist()) - {0}):
+        # the classes of k rows, up to _CLASS_BLOCK_ROWS rows a pass, as
+        # (classes, k, dim): each class reduced as one (k, dim) array
+        classes = np.flatnonzero(sizes == k)
+        step = max(1, _CLASS_BLOCK_ROWS // k)
+        for first in range(0, classes.size, step):
+            part = classes[first:first + step]
+            rows = emb[order[starts[part, None] + np.arange(k)]].astype(
+                np.float64)
+            rows -= rows.mean(axis=1, keepdims=True)
+            rows *= rows
+            out[part] = rows.sum(axis=2).mean(axis=1)
     return out
 
 

@@ -171,7 +171,7 @@ def stream_words(seed, tag, counter, indices, k):
     return out
 
 
-def _doubles(words):
+def doubles(words):
     """``Generator.random`` of each word: its top 53 bits as a double."""
     return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
@@ -180,7 +180,7 @@ def first_random(seed, tag, counter, indices):
     """``rng_for(seed, tag, c, i).random()`` for every pair of ``counter``
     and ``indices`` broadcast against each other; ``stream_words`` with
     ``k = 1``."""
-    return _doubles(stream_words(seed, tag, counter, indices, 1)[..., 0])
+    return doubles(stream_words(seed, tag, counter, indices, 1)[..., 0])
 
 
 class StreamDraws:
@@ -227,11 +227,11 @@ class StreamDraws:
         return half.astype(np.uint64)
 
     def random(self, rows):
-        return _doubles(self._next(rows))
+        return doubles(self._next(rows))
 
     def uniform(self, low, high, rows):
         """``uniform(low, high)``; either bound a scalar or one per row."""
-        return low + (high - low) * _doubles(self._next(rows))
+        return low + (high - low) * doubles(self._next(rows))
 
     def integers(self, high, rows):
         """``integers(0, high)`` for int64 ``high`` in [1, 2**32], a scalar
@@ -252,11 +252,11 @@ class StreamDraws:
 
 
 def rngs_for(seed, tag, counter, indices):
-    """Yield ``rng_for(seed, tag, c, i)`` for each ``i`` of the 1-D
-    ``indices`` in turn, ``c`` being ``counter`` or, for an array, its
-    matching element; seeded by ``stream_states``.  numpy's own methods
-    make every draw: one reused PCG64 is moved to each stream by assigning
-    its state, so a yielded generator is valid only until the next."""
+    """Yield ``rng_for(seed, tag, c, i)`` for each pair of ``counter``
+    and ``indices`` broadcast together to 1-D, in turn; seeded by
+    ``stream_states``.  numpy's own methods make every draw: one reused
+    PCG64 is moved to each stream by assigning its state, so a yielded
+    generator is valid only until the next."""
     # the high and low 64 bits of the state, then of the increment
     words = [((x[k + 1] << np.uint64(32)) | x[k]).tolist()
              for x in stream_states(seed, tag, counter, indices) for k in (2, 0)]

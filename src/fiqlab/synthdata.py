@@ -36,6 +36,7 @@ from .rngstreams import (
     T_SAMPLE,
     T_TEMPLATE,
     StreamDraws,
+    doubles,
     first_random,
     rng_for,
     rngs_for,
@@ -415,7 +416,8 @@ def _degradations(seed, flags, n, side, fraction):
     T_DEGRADE, c)``, which is its sample 0's stream (SeedSequence pads
     trailing zeros), and one set of operator draws from its
     ``T_DEGRADE_SHARED`` stream, repeated for every sample: the same
-    draws keep the degraded copies within the duplicate tolerance.  All
+    draws keep the degraded copies within the duplicate tolerance.  The
+    duplicate levels are taken in one ``stream_words`` pass, and all
     operator draws are decoded in one pass.
     """
     c_total = len(flags)
@@ -439,8 +441,9 @@ def _degradations(seed, flags, n, side, fraction):
                         start=np.repeat([1, 0], [m, len(dup)]))
     level = np.zeros(c_total * n)
     level[hit] = 1.0 - draws.random(np.arange(m))
-    level[shared] = np.repeat([1.0 - rng_for(seed, T_DEGRADE, c).random(2)[1]
-                               for c in dup.tolist()], n)
+    # a duplicate class's level: the second double of its coin's stream
+    level[shared] = np.repeat(
+        1.0 - doubles(stream_words(seed, T_DEGRADE, dup, 0, 2)[:, 1]), n)
     ops = _degrade_draws(draws, np.arange(m + len(dup)),
                          np.concatenate([level[hit], level[dup * n]]), side)
     op_of = np.empty(c_total * n, dtype=np.intp)
@@ -481,9 +484,17 @@ def gen_dataset(cfg):
 
     sample_rngs = rngs_for(seed, T_SAMPLE, labels, np.tile(np.arange(n),
                                                            c_total))
+    # class c's template grid comes from rng_for(seed, T_TEMPLATE, c), its
+    # pose scale from the first double of rng_for(seed, T_TEMPLATE, c, 1),
+    # drawn as Generator.uniform draws it
+    classes = np.arange(c_total)
+    template_rngs = rngs_for(seed, T_TEMPLATE, classes, 0)
+    pose_scales = cfg.pose_spread * (
+        _POSE_SCALE_LO + (_POSE_SCALE_HI - _POSE_SCALE_LO)
+        * first_random(seed, T_TEMPLATE, classes, 1))
     for c in range(c_total):
-        template = rng_for(seed, T_TEMPLATE, c).uniform(0.0, 1.0,
-                                                        (grid_side, grid_side))
+        template = next(template_rngs).uniform(0.0, 1.0,
+                                               (grid_side, grid_side))
         # Left-right symmetric templates, like the faces they stand in
         # for: a horizontal flip then acts as another pose draw instead
         # of injecting variance the pose model does not account for.
@@ -495,9 +506,7 @@ def gen_dataset(cfg):
             imgs = np.clip(_sample_template(template, side, [0.0], [0.0])
                            + noise, 0.0, 1.0)
         else:
-            class_pose = cfg.pose_spread * rng_for(seed, T_TEMPLATE, c, 1).uniform(
-                _POSE_SCALE_LO, _POSE_SCALE_HI)
-            shifts = np.array([rng.normal(0.0, class_pose, 2)
+            shifts = np.array([rng.normal(0.0, pose_scales[c], 2)
                                for rng in islice(sample_rngs, n)])
             imgs = _sample_template(template, side, shifts[:, 0], shifts[:, 1])
         images[c * n:(c + 1) * n] = imgs

@@ -4,8 +4,10 @@ words in array passes; tests compare it against these."""
 
 import math
 
+import numpy as np
+
 from fiqlab import synthdata
-from fiqlab.errors import DomainError
+from fiqlab.errors import DomainError, FormatError
 
 
 def erase_draw(side, rng, lo_frac, hi_frac):
@@ -78,3 +80,41 @@ def augment(img, rng, p=0.3):
     stands, with no half word buffered (a fresh generator has none), and
     leaving it so."""
     return synthdata.augment(img[None].copy(), generator_words(rng), p)[0]
+
+
+def read_scores_csv(path, expected):
+    """``cli._read_scores_csv`` one line at a time, with ``int`` and
+    ``float``: the reader it replaced, whose missing-score message names
+    no sample."""
+    scores = np.full(expected, np.nan)
+    seen = bytearray(expected)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    header, *rows = lines or [""]
+    if header.strip() != "sample_id,score":
+        raise FormatError(f"{path}: expected header 'sample_id,score'")
+    for lineno, line in enumerate(rows, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sid, value = line.split(",")
+            sid, value = int(sid), float(value)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad row {line!r}") from exc
+        if not 0 <= sid < expected:
+            raise FormatError(f"{path}:{lineno}: sample id {sid} outside "
+                              f"[0, {expected})")
+        if not math.isfinite(value):
+            raise FormatError(f"{path}:{lineno}: non-finite score "
+                              f"{value} for sample {sid}")
+        if seen[sid]:
+            raise FormatError(f"{path}:{lineno}: repeated sample id {sid}")
+        seen[sid] = 1
+        scores[sid] = value
+    if np.any(np.isnan(scores)):
+        raise FormatError(f"{path}: missing scores for some samples")
+    return scores

@@ -4,7 +4,8 @@ Each criterion prints one PASS/FAIL line.  The heavy experiments are
 shared through session-scoped fixtures: criteria 3 and 4 read the same
 tracker-correlation runs, criteria 5 and 6 the same variant-comparison
 runs.  Run with `pytest tests/test_acceptance.py -s` to see the lines
-as they complete.
+as they complete.  Criteria 3-6, the ones that use those fixtures, are
+marked ``acceptance``: `pytest -m "not acceptance"` leaves them out.
 """
 
 import time
@@ -199,6 +200,7 @@ def correlation_runs():
     return runs, time.perf_counter() - started
 
 
+@pytest.mark.acceptance
 def test_criterion_3_tracker_vs_oracle_correlation(correlation_runs):
     runs, elapsed = correlation_runs
     rho2 = float(np.mean([r.rho_epoch2 for r in runs]))
@@ -214,6 +216,7 @@ def test_criterion_3_tracker_vs_oracle_correlation(correlation_runs):
            f"; runtime {elapsed:.0f}s < 300s")
 
 
+@pytest.mark.acceptance
 def test_criterion_4_weight_zeroing(correlation_runs):
     runs, _ = correlation_runs
     dup_zero = float(np.mean([r.dup_zero_fraction for r in runs]))
@@ -235,6 +238,7 @@ def variant_runs():
     return runs, time.perf_counter() - started
 
 
+@pytest.mark.acceptance
 def test_criterion_5_variance_guidance_benefit(variant_runs):
     runs, elapsed = variant_runs
     auc_ig = np.array([r.auc["ig"] for r in runs])
@@ -250,6 +254,7 @@ def test_criterion_5_variance_guidance_benefit(variant_runs):
            f"{rank_ig:.2f} > 0; runtime {elapsed:.0f}s < 900s")
 
 
+@pytest.mark.acceptance
 def test_criterion_6_split_batch_protection(variant_runs):
     runs, _ = variant_runs
     fn_ig = float(np.mean([r.clean_fnmr["ig"] for r in runs]))

@@ -5,7 +5,10 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiqlab import cli, margin, rngstreams, synthdata, trainer, variance
 from fiqlab.configio import build_config
@@ -381,6 +384,34 @@ class TestErc:
         assert code == 2
         assert f"bad.csv:37: {message}" in capsys.readouterr().err
 
+    def test_missing_score_names_first_sample(self, trained, capsys):
+        workspace, ds_path, out_dir = trained
+        scores = workspace / "short.csv"
+        rows = [f"{i},0.5" for i in range(36) if i not in (3, 7)]
+        scores.write_text("sample_id,score\n" + "\n".join(rows) + "\n")
+        code = run(["erc", "--checkpoint", out_dir / "checkpoint.bin",
+                    "--dataset", ds_path, "--scores", scores,
+                    "--fmr", "0.05", "--nonmated", "120",
+                    "--out", workspace / "e"])
+        assert code == 2
+        assert ("short.csv: no score for sample 3; 2 of 36 samples have "
+                "none") in capsys.readouterr().err
+        assert not (workspace / "e").exists()
+
+    @pytest.mark.parametrize("step", ["1e-12", "0", "nan", "1", "9e-6"])
+    def test_grid_too_fine_refused_before_any_read(self, workspace, capsys,
+                                                   step):
+        # no input exists: the grid is refused before any is opened
+        code = run(["erc", "--checkpoint", workspace / "none.bin",
+                    "--dataset", workspace / "none.ds", "--scores",
+                    workspace / "none.csv", "--fmr", "0.05",
+                    "--grid-step", step, "--out", workspace / "e"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--grid-step must lie in [1e-05, 1), got {float(step)}" in err
+        assert "Traceback" not in err
+        assert not (workspace / "e").exists()
+
     def test_non_utf8_scores_are_format_error(self, trained, capsys):
         workspace, ds_path, out_dir = trained
         scores = workspace / "bad.csv"
@@ -393,6 +424,139 @@ class TestErc:
         err = capsys.readouterr().err
         assert "bad.csv: not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+# Spaces the reader strips around a field: Python's str.isspace set.
+_SPACES = st.sampled_from(["", "", " ", "\t", "  ", "\x0c", "\xa0",
+                           "\u3000"])
+
+
+@st.composite
+def _id_fields(draw, sid):
+    sign = "-" if sid < 0 else draw(st.sampled_from(["", "", "+", "-"]
+                                                    if sid == 0 else
+                                                    ["", "", "+"]))
+    digits = str(abs(sid)).zfill(draw(st.integers(1, 3)))  # leading zeros
+    return draw(_SPACES) + sign + digits + draw(_SPACES)
+
+
+@st.composite
+def _score_fields(draw):
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    text = draw(st.sampled_from([
+        repr(value), "%.9g" % value, "%e" % value, "%.3E" % value,
+        "%.17e" % value, "%.6f" % value]))
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from([
+            "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400",
+            "-1e400", "1e-400", ".5", "5.", "+.5e1", "0005.25", "007e-2",
+            "-0", "+0.0", "1E+3"]))
+    if text[0] not in "+-" and draw(st.booleans()):
+        text = "+" + text
+    return draw(_SPACES) + text + draw(_SPACES)
+
+
+@st.composite
+def _score_files(draw):
+    """(expected, text) of a scores file: a row for each sample in some
+    order, with blank, whitespace-only, faulty and extra rows mixed in."""
+    n = draw(st.integers(1, 6))
+    lines = [draw(_id_fields(sid)) + "," + draw(_score_fields())
+             for sid in draw(st.permutations(range(n)))]
+    bad_rows = st.sampled_from([
+        "x,1", "1,x", "1;2", "1,2,3", "0x1,2", "1,2e", "1.5,2", "1e1,2",
+        '"1",2', "1 2,3", "1,2 3", ",0.5", "1,", ",", "1", "--1,2"])
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.one_of(
+            st.just(""), st.sampled_from([" ", "\t", " \t ", "\xa0"]),
+            bad_rows,
+            st.builds(lambda a, b: a + "," + b,
+                      st.integers(-2, n + 1).flatmap(_id_fields),
+                      _score_fields())))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.integers(0, 4)) == 0:
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    header = draw(st.sampled_from(["sample_id,score"] * 6 + [
+        " sample_id,score\t", "sample_id;score"]))
+    return n, header + eol + eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _read_outcome(read, path, expected):
+    try:
+        return read(path, expected).tobytes()
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestScoresReader:
+    """``cli._read_scores_csv`` against the line-at-a-time reader it
+    replaced (``oracles.read_scores_csv``)."""
+
+    def test_same_outcome_as_line_reader(self, tmp_path):
+        path = tmp_path / "scores.csv"
+
+        @given(_score_files(), st.integers(0, 20))
+        @settings(max_examples=400, deadline=None)
+        def check(case, spoil):
+            expected, text = case
+            data = text.encode("utf-8")
+            if spoil == 0:  # a byte that is not UTF-8
+                at = len(data) // 2
+                data = data[:at] + b"\xff" + data[at:]
+            path.write_bytes(data)
+            want = _read_outcome(oracles.read_scores_csv, path, expected)
+            got = _read_outcome(cli._read_scores_csv, path, expected)
+            if want == f"{path}: missing scores for some samples":
+                assert re.fullmatch(
+                    rf"{re.escape(str(path))}: no score for sample \d+; "
+                    rf"\d+ of {expected} samples have none", got), got
+            else:
+                assert got == want
+
+        check()
+
+    @pytest.mark.parametrize("row, why", [
+        ("1_0,0.5", "an underscore in an id"),
+        ("0,0_5", "an underscore in a score"),
+        ("\u0661,0.5", "an Arabic-Indic digit id"),
+        ("\uff11,0.5", "a fullwidth digit id"),
+        ("0,\u0660.5", "an Arabic-Indic digit in a score"),
+        ("99999999999999999999,0.5", "an id beyond int64"),
+    ])
+    def test_refuses_what_int_and_float_read(self, tmp_path, row, why):
+        # refused on purpose as a bad row: ids are ASCII [+-]digits that
+        # fit int64, scores what np.loadtxt reads as float64
+        path = tmp_path / "scores.csv"
+        path.write_text(f"sample_id,score\n{row}\n", encoding="utf-8")
+        try:
+            oracles.read_scores_csv(path, 1)
+        except FormatError as exc:  # ids out of range or beyond int64
+            assert "outside [0, 1)" in str(exc), why
+        with pytest.raises(FormatError) as exc:
+            cli._read_scores_csv(path, 1)
+        assert str(exc.value) == f"{path}:2: bad row {row!r}", why
+
+    @pytest.mark.parametrize("row", ["0\x1f,0.5", "0,\x1c0.5"])
+    def test_strips_ascii_separators_int_and_float_refuse(self, tmp_path,
+                                                          row):
+        # U+001C-U+001F are whitespace to str.strip and np.loadtxt, not to
+        # int() and float(): around a field the reader strips them
+        path = tmp_path / "scores.csv"
+        path.write_text(f"sample_id,score\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="bad row"):
+            oracles.read_scores_csv(path, 1)
+        assert cli._read_scores_csv(path, 1).tolist() == [0.5]
+
+    def test_bad_line_named_after_blank_and_faulty_rows(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,score\n0,1\n\n  \n1,2\n2,x\n")
+        with pytest.raises(FormatError, match=r"scores.csv:6: bad row '2,x'"):
+            cli._read_scores_csv(path, 3)
+        # an earlier faulty row is named first, as the line reader did
+        path.write_text("sample_id,score\n0,1\n\n1,inf\n2,x\n")
+        with pytest.raises(FormatError, match=r"scores.csv:4: non-finite"):
+            cli._read_scores_csv(path, 3)
 
 
 class TestReport:

@@ -1,5 +1,7 @@
 import itertools
+import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -401,6 +403,33 @@ class TestErc:
         with pytest.raises(DomainError):
             evalkit.erc(pairs, [0.5], [0.1, 0.2], 0.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"grid_step": 1e-12}, "grid_step must lie in [1e-05, 1)"),
+        ({"grid_step": 9.99e-6}, "grid_step must lie in [1e-05, 1)"),
+        ({"grid_step": float("nan")}, "grid_step must lie in [1e-05, 1)"),
+        ({"max_reject": 1e9}, "max_reject must lie in [0, 1]"),
+    ])
+    def test_grid_too_large_to_build_rejected(self, kwargs, message):
+        # unguarded, a 1e-12 step asks numpy for about 7 TiB at once
+        pairs, sims, scores = hand_erc_inputs()
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evalkit.erc(pairs, sims, scores, 0.5, **kwargs)
+
+    def test_finest_grid_built(self):
+        pairs, sims, scores = hand_erc_inputs()
+        curve = evalkit.erc(pairs, sims, scores, 0.5,
+                            grid_step=evalkit.MIN_GRID_STEP)
+        assert curve.points[1, 0] == evalkit.MIN_GRID_STEP
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_pair_index_outside_scores_rejected(self, index):
+        pairs, sims, scores = hand_erc_inputs()
+        a = pairs.index_a.copy()
+        a[2] = index
+        with pytest.raises(StructuralError, match=r"in \[0, 8\)"):
+            evalkit.erc(PairSet(a, pairs.index_b, pairs.genuine), sims,
+                        scores, 0.5)
+
 
 def erc_grid_loop(pairs, sims, scores, threshold, grid_step, max_reject):
     """The ERC grid loop erc replaced: re-index the survivors and take
@@ -450,6 +479,22 @@ class TestErcAgainstGridLoop:
                              grid_step, max_reject)
         assert np.array_equal(curve.points, want)
         assert curve.auc == evalkit.auc(want)
+
+
+def oracle_mask_loop(dataset, model):
+    """The class-at-a-time oracle_variance replaced: one boolean mask
+    per class, rows in dataset order; a class with no rows gives the
+    NaN of np.mean over nothing."""
+    emb = evalkit.embed_dataset(model, dataset.images)
+    labels = np.asarray(dataset.labels, dtype=np.int64)
+    out = np.zeros(dataset.num_classes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # mean of nothing
+        for c in range(dataset.num_classes):
+            rows = emb[labels == c].astype(np.float64)
+            mu = rows.mean(axis=0)
+            out[c] = float(np.mean(np.sum((rows - mu) ** 2, axis=1)))
+    return out
 
 
 class TestOracleVariance:
@@ -522,15 +567,25 @@ class TestOracleVariance:
         model = bb.init_backbone(64, hidden_dim=16, embed_dim=8,
                                  rng=rng_for(1, 88))
         got = evalkit.oracle_variance(shuffled, model)
-        # one boolean mask per class, rows in dataset order
-        emb = evalkit.embed_dataset(model, shuffled.images)
-        labels = np.asarray(shuffled.labels, dtype=np.int64)
-        want = np.zeros(6)
-        for c in range(6):
-            rows = emb[labels == c].astype(np.float64)
-            mu = rows.mean(axis=0)
-            want[c] = float(np.mean(np.sum((rows - mu) ** 2, axis=1)))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, oracle_mask_loop(shuffled, model))
+
+    @pytest.mark.parametrize("block_rows", [512, 7, 1])
+    def test_same_bytes_as_mask_loop_on_unequal_classes(self, monkeypatch,
+                                                        block_rows):
+        # classes of 1 to 12 rows, repeated sizes and a class of none,
+        # shuffled, in passes of at most block_rows rows
+        monkeypatch.setattr(evalkit, "_CLASS_BLOCK_ROWS", block_rows)
+        sizes = np.array([5, 1, 12, 0, 5, 3, 9, 5, 2, 12])
+        rng = rng_for(2, 87)
+        labels = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+        ds = SimpleNamespace(images=rng.uniform(0, 1, (labels.size, 8, 8)),
+                             labels=labels, num_classes=sizes.size)
+        model = bb.init_backbone(64, hidden_dim=16, embed_dim=8,
+                                 rng=rng_for(1, 88))
+        got = evalkit.oracle_variance(ds, model)
+        want = oracle_mask_loop(ds, model)
+        assert np.isnan(got[3])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOracleVsRandomQuality:

@@ -281,7 +281,13 @@ class TestDegradeStreams:
         n = ds.samples_per_class
         normal = ds.class_flags[ds.labels] == synthdata.FLAG_NORMAL
         degraded = np.flatnonzero(normal & (ds.degradation_level > 0))
-        assert entered == [(r // n, r % n) for r in degraded]
+        # a degraded duplicate class draws its level from its sample 0's
+        # stream, past the coin
+        shared = np.flatnonzero(
+            (ds.class_flags == synthdata.FLAG_DUPLICATE)
+            & (ds.degradation_level[::n] > 0))
+        assert entered == ([(r // n, r % n) for r in degraded]
+                           + [(c, 0) for c in shared.tolist()])
         if fraction == 0.0:
             assert entered == []
         else:
